@@ -68,46 +68,7 @@ void
 ClusterArithmeticOperator::apply(std::span<const double> x,
                                  std::span<double> y)
 {
-    if (x.size() != static_cast<std::size_t>(mat->cols()) ||
-        y.size() != static_cast<std::size_t>(mat->rows()))
-        fatal("ClusterArithmeticOperator: dimension mismatch");
-
-    telemetry::Span span("cluster.apply");
-    ctrApplies.add();
-
-    // Local-processor part: unblockable leftovers on the FPU.
-    plan.unblocked.spmv(x, y);
-
-    // Fan the block MVMs across the pool; every block writes only
-    // its own scratch slot. The execution context is polled per
-    // block batch: a cancel mid-apply abandons the remaining blocks
-    // before the reduction below ever runs.
-    parallelFor(
-        plan.blocks.size(),
-        [&](std::size_t bi) {
-        telemetry::Span blockSpan("cluster.block");
-        const MatrixBlock &block = plan.blocks[bi];
-        BlockScratch &sc = scratch[bi];
-        sc.xLocal.assign(block.size, 0.0);
-        for (unsigned j = 0; j < block.size; ++j) {
-            const std::int64_t col = block.colOrigin + j;
-            if (col < mat->cols())
-                sc.xLocal[j] = x[static_cast<std::size_t>(col)];
-        }
-        sc.yLocal.assign(block.size, 0.0);
-        sc.peeled.clear();
-        sc.stats =
-            clusters[bi]->multiply(sc.xLocal, sc.yLocal, &sc.peeled);
-        },
-        1, exec);
-
-    // Deterministic reduction in fixed block order: the sums landing
-    // in y are bit-identical regardless of the lane count.
-    for (std::size_t bi = 0; bi < plan.blocks.size(); ++bi) {
-        BlockScratch &sc = scratch[bi];
-        reduceBlock(plan.blocks[bi], sc.stats, sc.yLocal.data(),
-                    sc.peeled, sc.peeledMask, x, y);
-    }
+    applyPanel(x, y, 1, "cluster.apply");
 }
 
 void
@@ -165,14 +126,22 @@ ClusterArithmeticOperator::applyBatch(std::span<const double> X,
                                       std::span<double> Y,
                                       unsigned k)
 {
+    applyPanel(X, Y, k, "cluster.apply_batch");
+}
+
+void
+ClusterArithmeticOperator::applyPanel(std::span<const double> X,
+                                      std::span<double> Y, unsigned k,
+                                      const char *spanName)
+{
     const auto nc = static_cast<std::size_t>(mat->cols());
     const auto nr = static_cast<std::size_t>(mat->rows());
     if (k == 0)
         fatal("ClusterArithmeticOperator: empty batch");
     if (X.size() != nc * k || Y.size() != nr * k)
-        fatal("ClusterArithmeticOperator: panel size mismatch");
+        fatal("ClusterArithmeticOperator: dimension mismatch");
 
-    telemetry::Span span("cluster.apply_batch");
+    telemetry::Span span(spanName);
     ctrApplies.add(k);
 
     // Local-processor part, per column in column order.
@@ -181,11 +150,13 @@ ClusterArithmeticOperator::applyBatch(std::span<const double> X,
                             Y.subspan(c * nr, nr));
     }
 
-    // One batched cluster multiply per block over the whole panel:
-    // the contribution tables, schedules, and gate transposes are
-    // shared across all k columns. Each block still writes only its
-    // own scratch slot; a cancel mid-apply abandons the remaining
-    // blocks before the reduction runs.
+    // Fan the block MVMs across the pool: one batched cluster
+    // multiply per block over the whole panel, so the contribution
+    // tables, schedules, and gate transposes are shared across all k
+    // columns. Every block writes only its own scratch slot. The
+    // execution context is polled per block batch: a cancel mid-
+    // apply abandons the remaining blocks before the reduction below
+    // ever runs.
     parallelFor(
         plan.blocks.size(),
         [&](std::size_t bi) {
@@ -212,9 +183,10 @@ ClusterArithmeticOperator::applyBatch(std::span<const double> X,
         },
         1, exec);
 
-    // Reduction in (column, block) order -- exactly the order k
-    // sequential apply() calls fold, so y AND the aggregate stats
-    // (floating-point sums included) are bitwise identical.
+    // Deterministic reduction in (column, block) order -- the order
+    // k one-column applies fold -- so y AND the aggregate stats
+    // (floating-point sums included) are bit-identical regardless of
+    // the lane count and the panel width.
     for (unsigned c = 0; c < k; ++c) {
         const std::span<const double> xc = X.subspan(c * nc, nc);
         const std::span<double> yc = Y.subspan(c * nr, nr);

@@ -58,15 +58,16 @@ class ClusterArithmeticOperator : public LinearOperator
     std::int32_t rows() const override { return mat->rows(); }
     std::int32_t cols() const override { return mat->cols(); }
 
+    /** The k = 1 panel apply. */
     void apply(std::span<const double> x,
                std::span<double> y) override;
 
     /**
      * Batched multi-RHS apply: each block's cluster runs one batched
      * multiply over the whole panel (tables and schedules amortized
-     * across columns), and the reduction folds per (column, block)
-     * in the sequential order, so outputs AND the running aggregate
-     * stats are bitwise identical to k apply() calls.
+     * across columns), and the reduction folds per (column, block),
+     * so outputs AND the running aggregate stats are bitwise
+     * identical to k one-column applies.
      */
     void applyBatch(std::span<const double> X, std::span<double> Y,
                     unsigned k) override;
@@ -97,23 +98,25 @@ class ClusterArithmeticOperator : public LinearOperator
     /** Shared ctor body: program one cluster per planned block. */
     void programClusters(const ClusterConfig &base);
 
+    /** The one apply body behind apply() and applyBatch();
+     *  @p spanName names its trace span. */
+    void applyPanel(std::span<const double> X, std::span<double> Y,
+                    unsigned k, const char *spanName);
+
     /** Per-block partial results, written concurrently by the block
      *  fan-out and reduced into y in fixed block order. */
     struct BlockScratch
     {
-        std::vector<double> xLocal;
-        std::vector<double> yLocal;
-        std::vector<std::int32_t> peeled;
+        std::vector<double> xLocal; //!< block.size x k panel
+        std::vector<double> yLocal; //!< block.size x k panel
         std::vector<std::uint8_t> peeledMask; //!< per block column
-        ClusterStats stats;
-        /** Batched apply: per-column peel lists and stats. */
+        /** Per-column peel lists and stats. */
         std::vector<std::vector<std::int32_t>> peeledCols;
         std::vector<ClusterStats> colStats;
     };
 
     /** Fold one block's result for one RHS column into y and the
-     *  aggregate stats: the shared reduction step of apply() and
-     *  applyBatch(), so the two fold orders cannot diverge. */
+     *  aggregate stats. */
     void reduceBlock(const MatrixBlock &block, const ClusterStats &s,
                      const double *yLocal,
                      const std::vector<std::int32_t> &peeled,

@@ -16,7 +16,7 @@
  *   accel    - Accelerator::spmv vs Csr::spmv under a ULP budget
  *   spmm     - batched multi-RHS path (Cluster/HwCluster batch
  *              multiply, Accelerator::spmm) vs k independent
- *              single-RHS invocations, bitwise
+ *              one-column invocations, bitwise
  *   solver   - metamorphic solver/SpMV transforms: P*A*P^T symmetric
  *              permutation, power-of-two scaling equivariance
  *              (bitwise), and x^T(Ay) == (A^T x)^T y consistency

@@ -1,16 +1,18 @@
 /**
  * @file
- * Differential checks: the batched multi-RHS path vs k independent
- * single-RHS invocations.
+ * Differential checks: a batched multi-RHS call vs k independent
+ * one-column calls.
  *
- * The batch path's whole contract is "amortize the setup, change no
- * bit": Cluster::multiply(X), HwCluster::multiply(X), and
- * Accelerator::spmm must produce outputs, per-column side channels
- * (peeled indices), and statistics bitwise identical to k calls of
- * the retained single-RHS path in column order. The single-RHS path
- * is itself pinned to an exact oracle by the cluster/accel modules,
- * so this module only needs the self-differential: batched vs
- * sequential, swept across schedule x rounding x AN x early-
+ * The batch contract is "amortize the setup, change no bit", i.e.
+ * column independence: Cluster::multiply(X) and HwCluster::multiply(X)
+ * over k columns must produce outputs, per-column side channels
+ * (peeled indices), and statistics bitwise identical to k one-column
+ * calls in column order (batch(k) == k x batch(1); the single-RHS
+ * overloads are k = 1 panels of the same kernel body), and
+ * Accelerator::spmm must equal k calls of its separate spmv path.
+ * The one-column results are themselves pinned to exactDot by the
+ * cluster/accel modules, so this module only needs the
+ * self-differential, swept across schedule x rounding x AN x early-
  * termination corners and random panel widths.
  */
 

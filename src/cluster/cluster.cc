@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <memory>
 
 #include "util/intlog.hh"
 #include "util/logging.hh"
@@ -240,7 +240,7 @@ Cluster::rangeTable(unsigned bLo, unsigned bHi)
 {
     // NOTE: building a new range may reallocate `tables`; callers
     // pre-build every range of a schedule (one pass over its groups)
-    // before caching RangeTable pointers in kernels.
+    // before the group loop takes RangeTable references.
     const std::size_t dim = encodedBits + 1;
     std::int16_t &idx = tableIdx[bLo * dim + bHi];
     if (idx >= 0)
@@ -301,6 +301,27 @@ Cluster::addSmall(SignedAcc &a, bool neg, std::uint64_t m,
 }
 
 void
+Cluster::addPartial(SignedAcc &a, __int128 v, unsigned shift)
+{
+    const bool neg = v < 0;
+    const auto m = neg ? -static_cast<unsigned __int128>(v)
+                       : static_cast<unsigned __int128>(v);
+    const auto lo = static_cast<std::uint64_t>(m);
+    const auto hi = static_cast<std::uint64_t>(m >> 64);
+    const unsigned wi = shift / 64;
+    const unsigned bi = shift % 64;
+    const std::uint64_t words[3] = {
+        lo << bi,
+        bi ? (hi << bi) | (lo >> (64 - bi)) : hi,
+        bi ? hi >> (64 - bi) : 0,
+    };
+    U256 w;
+    for (unsigned j = 0; j < 3 && wi + j < U256::numWords; ++j)
+        w.setWord(wi + j, words[j]);
+    a.add(neg, w);
+}
+
+void
 Cluster::peelVector(std::span<const double> x,
                     std::span<double> masked, ClusterStats &stats,
                     std::vector<std::int32_t> *peeled)
@@ -355,210 +376,11 @@ ClusterStats
 Cluster::multiply(std::span<const double> x, std::span<double> y,
                   std::vector<std::int32_t> *peeled)
 {
-    if (!isProgrammed)
-        fatal("Cluster::multiply: no block programmed");
-    if (x.size() != blockSize || y.size() != blockSize)
-        fatal("Cluster::multiply: vector size mismatch");
-
-    ClusterStats stats;
-
-    // --- vector alignment with exponent-window peeling ------------
-    maskedScratch.resize(blockSize);
-    peelVector(x, maskedScratch, stats, peeled);
-
-    const AlignedSet vx = alignValues(maskedScratch);
-    const BiasedSet ux = biasEncode(vx);
-    const unsigned vecBits = ux.width();
-    const int outScale = blockScale + vx.scale;
-
-    // --- schedule ---------------------------------------------------
-    const ActivationSchedule schedule(encodedBits, vecBits,
-                                      cfg.schedule, cfg.hybridSkew);
-    stats.matrixSlices = encodedBits;
-    stats.vectorSlices = vecBits;
-    stats.groupsTotal = schedule.groups().size();
-
-    // --- accumulators ------------------------------------------------
-    accScratch.assign(blockSize, SignedAcc{});
-    doneScratch.assign(blockSize, 0);
-    SignedAcc *const acc = accScratch.data();
-    std::uint8_t *const done = doneScratch.data();
-    std::size_t alive = 0;
-    for (unsigned i = 0; i < blockSize; ++i) {
-        if (rowPtr[i + 1] == rowPtr[i]) {
-            // Bias cells cancel exactly; the hardware settles these
-            // immediately.
-            done[i] = 1;
-            y[i] = 0.0;
-            ++stats.emptyColumns;
-            continue;
-        }
-        ++alive;
-        // Fold the vector-bias debias constant -bX * rowSumF into the
-        // initial running sum (known at program/apply time).
-        U256 init = rowSumF[i].mag << (ux.biasBits);
-        if (cfg.anProtect)
-            init.mulSmall(cfg.anConstant);
-        acc[i].neg = !rowSumF[i].neg;
-        acc[i].mag = init;
-        if (init.isZero())
-            acc[i].neg = false;
-    }
-
-    const unsigned nBits = bitsForCount(blockSize);
-    const int anShift = cfg.anProtect
-        ? static_cast<int>(an.codeBits() - an.dataBits() - 1) : 0;
-    // anShift = 8 for A=269: floor(log2(269)).
-    const int sigCellBits = static_cast<int>(
-        bitsForCount(std::min(encodedBits, vecBits)));
-
-    // --- precomputed slice-group kernels ------------------------------
-    // Vector bit-slice bitmaps, shared with the hardware model's
-    // dataflow: slice k gates which elements contribute in a segment
-    // at weight 2^k. All-zero slices gate everything out, so their
-    // segments are skipped entirely.
-    const std::size_t nActive = activeBitSlices(ux, vslicesScratch);
-    sliceByKScratch.assign(vecBits, nullptr);
-    for (std::size_t s = 0; s < nActive; ++s)
-        sliceByKScratch[vslicesScratch[s].k] = &vslicesScratch[s].bits;
-    const BitVec *const *sliceByK = sliceByKScratch.data();
-
-    // Pre-build the contribution tables (see rangeTable()) for every
-    // distinct (bLo, bHi) range of this schedule, so the kernel
-    // resolution below can hold stable RangeTable pointers.
-    for (const ScheduleGroup &group : schedule.groups()) {
-        for (const auto &seg : group.segments)
-            rangeTable(seg.bLo, seg.bHi);
-    }
-
-    std::vector<SegKernel> &kernels = kernelScratch;
-
-    // --- group-granular execution ------------------------------------
-    const auto &groups = schedule.groups();
-    for (std::size_t g = 0; g < groups.size() && alive > 0; ++g) {
-        const ScheduleGroup &group = groups[g];
-        ++stats.groupsExecuted;
-        stats.xbarActivations += group.activations();
-
-        // ADC conversions: every active crossbar scans the alive
-        // columns; terminated columns are skipped (Section III-B).
-        stats.adcConversions +=
-            static_cast<std::uint64_t>(group.activations()) * alive;
-        stats.conversionsSkipped +=
-            static_cast<std::uint64_t>(group.activations()) *
-            (blockSize - alive);
-
-        // Energy: full-array activation energy per crossbar op plus
-        // per-conversion ADC energy from the per-(slice, row) table
-        // program() resolved (headstart preset included). The whole
-        // array pulls current during an operation regardless of how
-        // many columns are converted.
-        stats.arrayEnergy += group.activations() * arrayOpE;
-        for (const auto &seg : group.segments) {
-            for (unsigned b = seg.bLo; b <= seg.bHi; ++b) {
-                const double *ce =
-                    &adcConvE[static_cast<std::size_t>(b) *
-                              blockSize];
-                for (unsigned i = 0; i < blockSize; ++i) {
-                    if (done[i])
-                        continue;
-                    stats.adcEnergy += ce[i];
-                }
-            }
-        }
-
-        // Functional contribution, per alive output row: resolve the
-        // group's segments to their precomputed kernels once, then
-        // scan each row gating on the vector-slice bitmaps. A zero
-        // delta is an exact no-op on the sign-magnitude accumulator
-        // and is skipped.
-        kernels.clear();
-        for (const auto &seg : group.segments) {
-            const BitVec *gate = sliceByK[seg.k];
-            if (!gate)
-                continue;
-            kernels.push_back({&rangeTable(seg.bLo, seg.bHi), gate,
-                               seg.bLo + seg.k});
-        }
-        for (unsigned i = 0; i < blockSize; ++i) {
-            if (done[i])
-                continue;
-            SignedAcc &a = acc[i];
-            for (const SegKernel &kr : kernels) {
-                const BitVec &gate = *kr.gate;
-                if (kr.tab->small) {
-                    const std::int16_t *d = kr.tab->delta.data();
-                    for (std::uint32_t e = rowPtr[i];
-                         e < rowPtr[i + 1]; ++e) {
-                        if (!gate.get(static_cast<std::size_t>(
-                                elemCol[e])))
-                            continue;
-                        const std::int32_t m = d[e];
-                        if (m == 0)
-                            continue;
-                        addSmall(a, m < 0,
-                                 static_cast<std::uint64_t>(
-                                     m < 0 ? -m : m),
-                                 kr.shift);
-                    }
-                } else {
-                    for (std::uint32_t e = rowPtr[i];
-                         e < rowPtr[i + 1]; ++e) {
-                        if (!gate.get(static_cast<std::size_t>(
-                                elemCol[e])))
-                            continue;
-                        if (kr.tab->magW[e].isZero())
-                            continue;
-                        U256 v = U256::from(kr.tab->magW[e]);
-                        v <<= kr.shift;
-                        a.add(kr.tab->negW[e] != 0, v);
-                    }
-                }
-            }
-        }
-
-        // Early termination check (between groups).
-        if (!cfg.earlyTermination)
-            continue;
-        const int remSig = schedule.maxRemainingSignificance(g);
-        if (remSig < 0)
-            break; // grid exhausted; exact completion below
-        // Remaining contribution bound: each remaining cell (b, k)
-        // contributes at most N * 2^(b+k); at most min(B, K) cells
-        // share a significance level, and the geometric sum over
-        // levels <= remSig doubles the top one.
-        const int bound = remSig + static_cast<int>(nBits) +
-                          sigCellBits + 2;
-        for (unsigned i = 0; i < blockSize; ++i) {
-            if (done[i])
-                continue;
-            U256 decoded = acc[i].mag;
-            int boundDec = bound;
-            if (cfg.anProtect) {
-                decoded.divSmall(cfg.anConstant);
-                boundDec = bound - anShift + 2;
-            }
-            if (settled(decoded, boundDec,
-                        cfg.targetMantissaBits + 3)) {
-                done[i] = 1;
-                --alive;
-                ++stats.columnsEarlyTerminated;
-                y[i] = convert(acc[i], outScale, false);
-            }
-        }
-    }
-
-    // Exact completion for rows that never terminated early.
-    for (unsigned i = 0; i < blockSize; ++i) {
-        if (!done[i])
-            y[i] = convert(acc[i], outScale, true);
-    }
-
-    // --- timing ---------------------------------------------------
-    stats.cycles = stats.groupsExecuted * cfg.size + 12;
-    stats.latency = static_cast<double>(stats.cycles) /
-                    cfg.xbar.fClkHz;
-    stats.energy = stats.arrayEnergy + stats.adcEnergy;
+    if (!peeled)
+        return multiply(x, y, 1);
+    std::vector<std::vector<std::int32_t>> peeledCols;
+    const ClusterStats stats = multiply(x, y, 1, &peeledCols);
+    *peeled = std::move(peeledCols[0]);
     return stats;
 }
 
@@ -582,13 +404,15 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
     // --- per-column front end: peel, align, encode -----------------
     // Alignment is input-dependent, so it stays per column; the
     // programmed-side state (contribution tables, ADC energy table,
-    // schedules, gate transposes) is shared below.
+    // gate transpose) is shared below.
     maskedBatch.resize(panel);
     std::vector<ClusterStats> colStats(k);
     std::vector<BiasedSet> uxs(k);
     std::vector<int> outScale(k);
     std::vector<std::vector<VectorSlice>> vslices(k);
     std::vector<std::vector<const BitVec *>> sliceByK(k);
+    std::vector<unsigned> width(k);
+    unsigned maxWidth = 0;
     for (unsigned c = 0; c < k; ++c) {
         const std::span<double> mc(
             maskedBatch.data() +
@@ -601,35 +425,41 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
         const AlignedSet vx = alignValues(mc);
         uxs[c] = biasEncode(vx);
         outScale[c] = blockScale + vx.scale;
+        width[c] = uxs[c].width();
+        maxWidth = std::max(maxWidth, width[c]);
         const std::size_t nActive =
             activeBitSlices(uxs[c], vslices[c]);
-        sliceByK[c].assign(uxs[c].width(), nullptr);
+        sliceByK[c].assign(width[c], nullptr);
         for (std::size_t s = 0; s < nActive; ++s)
             sliceByK[c][vslices[c][s].k] = &vslices[c][s].bits;
         colStats[c].matrixSlices = encodedBits;
-        colStats[c].vectorSlices = uxs[c].width();
+        colStats[c].vectorSlices = width[c];
     }
 
     // --- per-column accumulators -----------------------------------
+    // Termination flags are row-major ([row][column]) so the k-wide
+    // loops below read one row's flags contiguously.
     accBatch.assign(panel, SignedAcc{});
     doneBatch.assign(panel, 0);
     std::vector<std::size_t> alive(k, 0);
+    std::size_t aliveAll = 0;
     for (unsigned c = 0; c < k; ++c) {
         SignedAcc *const acc =
             accBatch.data() + static_cast<std::size_t>(c) * blockSize;
-        std::uint8_t *const done =
-            doneBatch.data() +
-            static_cast<std::size_t>(c) * blockSize;
         const std::span<double> yc = Y.subspan(
             static_cast<std::size_t>(c) * blockSize, blockSize);
         for (unsigned i = 0; i < blockSize; ++i) {
             if (rowPtr[i + 1] == rowPtr[i]) {
-                done[i] = 1;
+                // Bias cells cancel exactly; the hardware settles
+                // these immediately.
+                doneBatch[static_cast<std::size_t>(i) * k + c] = 1;
                 yc[i] = 0.0;
                 ++colStats[c].emptyColumns;
                 continue;
             }
             ++alive[c];
+            // Fold the vector-bias debias constant -bX * rowSumF into
+            // the initial running sum (known at program/apply time).
             U256 init = rowSumF[i].mag << (uxs[c].biasBits);
             if (cfg.anProtect)
                 init.mulSmall(cfg.anConstant);
@@ -638,288 +468,342 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
             if (init.isZero())
                 acc[i].neg = false;
         }
+        aliveAll += alive[c];
     }
 
     const unsigned nBits = bitsForCount(blockSize);
     const int anShift = cfg.anProtect
         ? static_cast<int>(an.codeBits() - an.dataBits() - 1) : 0;
+    // anShift = 8 for A=269: floor(log2(269)).
 
-    // --- vector-width groups ----------------------------------------
+    // --- schedules ----------------------------------------------------
     // The activation schedule depends on the input only through the
-    // biased operand width, so columns sharing a width share one
-    // schedule, one table-ensure pass, and one gate transpose.
-    // Groups run in ascending width order; within a group columns
-    // stay in ascending index order. Per-column trajectory state
-    // keeps every column bitwise independent, so ordering across
-    // columns is irrelevant to the outputs.
-    std::vector<unsigned> order(k);
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](unsigned a, unsigned b) {
-                         return uxs[a].width() < uxs[b].width();
-                     });
-
-    std::vector<unsigned> cols;
-    for (std::size_t at = 0; at < order.size();) {
-        const unsigned vecBits = uxs[order[at]].width();
-        cols.clear();
-        while (at < order.size() &&
-               uxs[order[at]].width() == vecBits)
-            cols.push_back(order[at++]);
-        const std::size_t kg = cols.size();
-
-        const ActivationSchedule schedule(
-            encodedBits, vecBits, cfg.schedule, cfg.hybridSkew);
-        const auto &groups = schedule.groups();
-        for (unsigned c : cols)
-            colStats[c].groupsTotal = groups.size();
-        const int sigCellBits = static_cast<int>(
-            bitsForCount(std::min(encodedBits, vecBits)));
-
-        // Ensure every range's contribution table exists before the
-        // group loop takes references (rangeTable() may reallocate).
-        for (const ScheduleGroup &group : groups) {
-            for (const auto &seg : group.segments)
-                rangeTable(seg.bLo, seg.bHi);
+    // biased operand width K, so columns sharing a width share one
+    // schedule. Across widths, the skewed family (schedule.hh) puts
+    // matrix slice b of group g on vector slice
+    //   k = (K - 1) - g + stagger(b),
+    // so a column of width K, run `lag = maxWidth - K` steps behind
+    // the widest column, visits exactly the widest column's cells
+    // with k < K, segment for segment, in the same order. One step loop
+    // over the widest schedule therefore drives every column through
+    // its own schedule, and the contribution loop is shared by all k
+    // columns whatever their widths. Per-column trajectory state
+    // (termination, stats, peeling) keeps every column bitwise
+    // independent of the others.
+    std::vector<std::unique_ptr<ActivationSchedule>> schedules;
+    std::vector<const ActivationSchedule *> scheduleOf(k, nullptr);
+    const ActivationSchedule *widest = nullptr;
+    for (unsigned c = 0; c < k; ++c) {
+        for (unsigned d = 0; d < c && !scheduleOf[c]; ++d) {
+            if (width[d] == width[c])
+                scheduleOf[c] = scheduleOf[d];
         }
+        if (!scheduleOf[c]) {
+            schedules.push_back(std::make_unique<ActivationSchedule>(
+                encodedBits, width[c], cfg.schedule, cfg.hybridSkew));
+            scheduleOf[c] = schedules.back().get();
+        }
+        colStats[c].groupsTotal = scheduleOf[c]->groups().size();
+        if (width[c] == maxWidth)
+            widest = scheduleOf[c];
+    }
+    const auto &steps = widest->groups();
+    std::vector<std::size_t> lag(k);
+    std::vector<int> sigCellBits(k);
+    for (unsigned c = 0; c < k; ++c) {
+        lag[c] = maxWidth - width[c];
+        // Every group of a skewed schedule is nonempty, so a width-K
+        // schedule has exactly `lag` fewer groups than the widest.
+        if (width[c] > 0 &&
+            scheduleOf[c]->groups().size() + lag[c] != steps.size())
+            panic("Cluster::multiply: schedule widths misaligned");
+        sigCellBits[c] = static_cast<int>(
+            bitsForCount(std::min(encodedBits, width[c])));
+    }
 
-        // Gate transpose: per (vector slice k, element column j) a
-        // kg-wide 0/1 row, so the inner loop reads the gates of all
-        // columns in one contiguous stride instead of probing kg
-        // bitmaps per element.
-        gateTBatch.assign(
-            static_cast<std::size_t>(vecBits) * blockSize * kg, 0);
-        for (std::size_t idx = 0; idx < kg; ++idx) {
-            const unsigned c = cols[idx];
-            for (unsigned kc = 0; kc < vecBits; ++kc) {
-                const BitVec *gate = sliceByK[c][kc];
-                if (!gate)
-                    continue;
-                std::int16_t *gT =
-                    &gateTBatch[static_cast<std::size_t>(kc) *
-                                blockSize * kg];
-                gate->forEachSetBit([&](std::size_t j) {
-                    gT[j * kg + idx] = 1;
-                });
+    // Ensure every range's contribution table exists before the step
+    // loop takes references (rangeTable() may reallocate). The
+    // widest schedule covers every column's ranges.
+    for (const ScheduleGroup &group : steps) {
+        for (const auto &seg : group.segments)
+            rangeTable(seg.bLo, seg.bHi);
+    }
+
+    // Gate transpose: per (vector slice kc, element column j) a k-wide
+    // 0/1 row, so the inner loop reads the gates of all columns in
+    // one contiguous stride instead of probing k bitmaps per element.
+    // A column has no gate on slices at or above its width.
+    gateTBatch.assign(
+        static_cast<std::size_t>(maxWidth) * blockSize * k, 0);
+    for (unsigned c = 0; c < k; ++c) {
+        for (unsigned kc = 0; kc < width[c]; ++kc) {
+            const BitVec *gate = sliceByK[c][kc];
+            if (!gate)
+                continue;
+            std::int16_t *gT =
+                &gateTBatch[static_cast<std::size_t>(kc) * blockSize *
+                            k];
+            gate->forEachSetBit([&](std::size_t j) {
+                gT[j * k + c] = 1;
+            });
+        }
+    }
+
+    sumBatch.assign(k, 0);
+    actBatch.assign(k, 0);
+    std::vector<std::uint8_t> part(k, 0);
+    std::vector<__int128> partial(k, 0);
+    std::vector<const RangeTable *> segTab;
+    std::vector<unsigned> liveRows;
+
+    // --- group-granular execution, all columns in step -------------
+    for (std::size_t step = 0; step < steps.size() && aliveAll > 0;
+         ++step) {
+        const ScheduleGroup &ugroup = steps[step];
+
+        // Per-column bookkeeping: a column takes part in this step iff
+        // it has reached its first group and still has alive rows (a
+        // column whose rows all settled stops executing groups).
+        bool anyPart = false;
+        for (unsigned c = 0; c < k; ++c) {
+            part[c] = alive[c] > 0 && step >= lag[c] &&
+                      step - lag[c] < scheduleOf[c]->groups().size();
+            if (!part[c])
+                continue;
+            anyPart = true;
+            const ScheduleGroup &group =
+                scheduleOf[c]->groups()[step - lag[c]];
+            ClusterStats &cs = colStats[c];
+            ++cs.groupsExecuted;
+            cs.xbarActivations += group.activations();
+            // ADC conversions: every active crossbar scans the alive
+            // columns; terminated columns are skipped (Section III-B).
+            cs.adcConversions +=
+                static_cast<std::uint64_t>(group.activations()) *
+                alive[c];
+            cs.conversionsSkipped +=
+                static_cast<std::uint64_t>(group.activations()) *
+                (blockSize - alive[c]);
+            // The whole array pulls current during an operation
+            // regardless of how many columns are converted.
+            cs.arrayEnergy += group.activations() * arrayOpE;
+        }
+        if (!anyPart)
+            continue;
+        // Rows still alive in some taking-part column: the energy and
+        // contribution loops below visit only these.
+        liveRows.clear();
+        for (unsigned i = 0; i < blockSize; ++i) {
+            const std::uint8_t *done =
+                &doneBatch[static_cast<std::size_t>(i) * k];
+            for (unsigned c = 0; c < k; ++c) {
+                if (part[c] && !done[c]) {
+                    liveRows.push_back(i);
+                    break;
+                }
             }
         }
 
-        std::size_t aliveGroup = 0;
-        for (unsigned c : cols)
-            aliveGroup += alive[c];
-
-        sumBatch.assign(kg, 0);
-        actBatch.assign(kg, 0);
-
-        // --- group-granular execution (all columns of this width) --
-        for (std::size_t g = 0;
-             g < groups.size() && aliveGroup > 0; ++g) {
-            const ScheduleGroup &group = groups[g];
-
-            // Per-column bookkeeping: a column participates in this
-            // group iff it still has alive rows, mirroring the
-            // single-RHS loop-exit condition.
-            for (unsigned c : cols) {
-                if (alive[c] == 0)
+        // ADC energy: per-conversion energy from the per-(slice, row)
+        // table program() resolved (headstart preset included),
+        // summed per column over its own segments in (segment, slice,
+        // row) order, skipping settled rows.
+        for (unsigned c = 0; c < k; ++c) {
+            if (!part[c])
+                continue;
+            double adcEnergy = colStats[c].adcEnergy;
+            for (const auto &seg : ugroup.segments) {
+                if (seg.k >= width[c])
                     continue;
-                ClusterStats &cs = colStats[c];
-                ++cs.groupsExecuted;
-                cs.xbarActivations += group.activations();
-                cs.adcConversions +=
-                    static_cast<std::uint64_t>(
-                        group.activations()) * alive[c];
-                cs.conversionsSkipped +=
-                    static_cast<std::uint64_t>(
-                        group.activations()) *
-                    (blockSize - alive[c]);
-                cs.arrayEnergy += group.activations() * arrayOpE;
-                const std::uint8_t *done =
-                    doneBatch.data() +
-                    static_cast<std::size_t>(c) * blockSize;
-                for (const auto &seg : group.segments) {
-                    for (unsigned b = seg.bLo; b <= seg.bHi; ++b) {
-                        const double *ce = &adcConvE[
-                            static_cast<std::size_t>(b) * blockSize];
-                        for (unsigned i = 0; i < blockSize; ++i) {
-                            if (done[i])
-                                continue;
-                            cs.adcEnergy += ce[i];
-                        }
+                for (unsigned b = seg.bLo; b <= seg.bHi; ++b) {
+                    const double *ce = &adcConvE[
+                        static_cast<std::size_t>(b) * blockSize];
+                    for (const unsigned i : liveRows) {
+                        if (!doneBatch[static_cast<std::size_t>(i) * k +
+                                       c])
+                            adcEnergy += ce[i];
                     }
                 }
             }
+            colStats[c].adcEnergy = adcEnergy;
+        }
 
-            // Functional contribution, k-wide. Within a group the
-            // sign-magnitude adds are exact integer arithmetic, so
-            // the accumulator value after the group is invariant
-            // under regrouping: a row's gated int16 deltas collapse
-            // into one int32 sum per column (bounded by nnz * 2^15 <
-            // 2^31) and land in a single two-word add -- bitwise the
-            // state the element-order single-RHS adds reach, and the
-            // termination checks that observe it only run between
-            // groups.
-            for (const auto &seg : group.segments) {
-                bool anyGate = false;
-                for (unsigned c : cols) {
-                    if (sliceByK[c][seg.k]) {
-                        anyGate = true;
-                        break;
-                    }
-                }
-                if (!anyGate)
+        // Functional contribution, k-wide. Within a group the
+        // sign-magnitude adds are exact integer arithmetic, so the
+        // accumulator value after the group is invariant under
+        // regrouping: a row's gated int16 deltas collapse into one
+        // int32 sum per (segment, column) (bounded by nnz * 2^15 <
+        // 2^31), the segment sums of a row collapse into one 128-bit
+        // partial per column at their relative weights, and that
+        // lands in a single add -- bitwise the state element-order
+        // adds reach, and the termination checks that observe it only
+        // run between groups. A segment too far above the group's
+        // lowest weight for the 128-bit partial adds directly.
+        bool anyGate = false;
+        unsigned baseShift = ~0u;
+        segTab.clear();
+        for (const auto &seg : ugroup.segments) {
+            bool gated = false;
+            for (unsigned c = 0; c < k && !gated; ++c)
+                gated = part[c] && seg.k < width[c] &&
+                        sliceByK[c][seg.k];
+            // A segment no taking-part column gates is an exact
+            // no-op; nullptr marks it skipped.
+            segTab.push_back(gated ? &rangeTable(seg.bLo, seg.bHi)
+                                   : nullptr);
+            if (gated) {
+                anyGate = true;
+                baseShift = std::min(baseShift, seg.bLo + seg.k);
+            }
+        }
+        for (std::size_t r = 0; anyGate && r < liveRows.size(); ++r) {
+            const unsigned i = liveRows[r];
+            const std::uint8_t *done =
+                &doneBatch[static_cast<std::size_t>(i) * k];
+            std::uint8_t *const act = actBatch.data();
+            for (unsigned c = 0; c < k; ++c) {
+                act[c] = part[c] && !done[c];
+                partial[c] = 0;
+            }
+            for (std::size_t si = 0; si < ugroup.segments.size();
+                 ++si) {
+                const RangeTable *tab = segTab[si];
+                if (!tab)
                     continue;
-                const RangeTable &tab =
-                    rangeTable(seg.bLo, seg.bHi);
+                const auto &seg = ugroup.segments[si];
                 const unsigned shift = seg.bLo + seg.k;
-                if (tab.small) {
+                if (tab->small) {
                     const std::int16_t *gT = &gateTBatch[
                         static_cast<std::size_t>(seg.k) * blockSize *
-                        kg];
-                    const std::int16_t *d = tab.delta.data();
+                        k];
+                    const std::int16_t *d = tab->delta.data();
                     std::int32_t *const s = sumBatch.data();
-                    std::uint8_t *const act = actBatch.data();
-                    for (unsigned i = 0; i < blockSize; ++i) {
-                        bool anyAlive = false;
-                        for (std::size_t idx = 0; idx < kg; ++idx) {
-                            const bool a = !doneBatch[
-                                static_cast<std::size_t>(cols[idx]) *
-                                    blockSize + i];
-                            act[idx] = a ? 1 : 0;
-                            anyAlive |= a;
-                        }
-                        if (!anyAlive)
+                    for (unsigned c = 0; c < k; ++c)
+                        s[c] = 0;
+                    for (std::uint32_t e = rowPtr[i];
+                         e < rowPtr[i + 1]; ++e) {
+                        const std::int32_t dv = d[e];
+                        if (dv == 0)
                             continue;
-                        for (std::size_t idx = 0; idx < kg; ++idx)
-                            s[idx] = 0;
-                        for (std::uint32_t e = rowPtr[i];
-                             e < rowPtr[i + 1]; ++e) {
-                            const std::int32_t dv = d[e];
-                            if (dv == 0)
-                                continue;
-                            const std::int16_t *g = &gT[
-                                static_cast<std::size_t>(
-                                    elemCol[e]) * kg];
-                            for (std::size_t idx = 0; idx < kg;
-                                 ++idx)
-                                s[idx] += dv * g[idx];
-                        }
-                        for (std::size_t idx = 0; idx < kg; ++idx) {
-                            if (!act[idx])
-                                continue;
-                            const std::int32_t m = s[idx];
-                            if (m == 0)
-                                continue;
-                            addSmall(
-                                accBatch[static_cast<std::size_t>(
-                                             cols[idx]) *
-                                             blockSize + i],
-                                m < 0,
-                                static_cast<std::uint64_t>(
-                                    m < 0 ? -static_cast<std::int64_t>(
-                                                m)
-                                          : m),
-                                shift);
+                        const std::int16_t *g = &gT[
+                            static_cast<std::size_t>(elemCol[e]) * k];
+                        for (unsigned c = 0; c < k; ++c)
+                            s[c] += dv * g[c];
+                    }
+                    const unsigned rel = shift - baseShift;
+                    for (unsigned c = 0; c < k; ++c) {
+                        if (!act[c] || s[c] == 0)
+                            continue;
+                        if (rel <= maxPartialShift) {
+                            partial[c] +=
+                                static_cast<__int128>(s[c]) << rel;
+                        } else {
+                            const std::int64_t m = s[c];
+                            addSmall(accBatch[static_cast<std::size_t>(
+                                                  c) * blockSize + i],
+                                     m < 0,
+                                     static_cast<std::uint64_t>(
+                                         m < 0 ? -m : m),
+                                     shift);
                         }
                     }
                 } else {
                     // Wide range (vertical schedules): element-wise
-                    // adds per column, the single-RHS inner loop.
-                    for (unsigned c : cols) {
+                    // adds per column.
+                    for (unsigned c = 0; c < k; ++c) {
+                        if (!act[c] || seg.k >= width[c])
+                            continue;
                         const BitVec *gate = sliceByK[c][seg.k];
                         if (!gate)
                             continue;
-                        SignedAcc *const acc =
-                            accBatch.data() +
-                            static_cast<std::size_t>(c) * blockSize;
-                        const std::uint8_t *done =
-                            doneBatch.data() +
-                            static_cast<std::size_t>(c) * blockSize;
-                        for (unsigned i = 0; i < blockSize; ++i) {
-                            if (done[i])
+                        SignedAcc &a = accBatch[
+                            static_cast<std::size_t>(c) * blockSize +
+                            i];
+                        for (std::uint32_t e = rowPtr[i];
+                             e < rowPtr[i + 1]; ++e) {
+                            if (!gate->get(static_cast<std::size_t>(
+                                    elemCol[e])))
                                 continue;
-                            for (std::uint32_t e = rowPtr[i];
-                                 e < rowPtr[i + 1]; ++e) {
-                                if (!gate->get(
-                                        static_cast<std::size_t>(
-                                            elemCol[e])))
-                                    continue;
-                                if (tab.magW[e].isZero())
-                                    continue;
-                                U256 v = U256::from(tab.magW[e]);
-                                v <<= shift;
-                                acc[i].add(tab.negW[e] != 0, v);
-                            }
+                            if (tab->magW[e].isZero())
+                                continue;
+                            U256 v = U256::from(tab->magW[e]);
+                            v <<= shift;
+                            a.add(tab->negW[e] != 0, v);
                         }
                     }
                 }
             }
-
-            // Early termination check (between groups), per column.
-            if (!cfg.earlyTermination)
-                continue;
-            const int remSig =
-                schedule.maxRemainingSignificance(g);
-            if (remSig < 0)
-                break; // grid exhausted; exact completion below
-            const int bound = remSig + static_cast<int>(nBits) +
-                              sigCellBits + 2;
-            for (unsigned c : cols) {
-                if (alive[c] == 0)
-                    continue;
-                SignedAcc *const acc =
-                    accBatch.data() +
-                    static_cast<std::size_t>(c) * blockSize;
-                std::uint8_t *const done =
-                    doneBatch.data() +
-                    static_cast<std::size_t>(c) * blockSize;
-                const std::span<double> yc = Y.subspan(
-                    static_cast<std::size_t>(c) * blockSize,
-                    blockSize);
-                for (unsigned i = 0; i < blockSize; ++i) {
-                    if (done[i])
-                        continue;
-                    U256 decoded = acc[i].mag;
-                    int boundDec = bound;
-                    if (cfg.anProtect) {
-                        decoded.divSmall(cfg.anConstant);
-                        boundDec = bound - anShift + 2;
-                    }
-                    if (settled(decoded, boundDec,
-                                cfg.targetMantissaBits + 3)) {
-                        done[i] = 1;
-                        --alive[c];
-                        --aliveGroup;
-                        ++colStats[c].columnsEarlyTerminated;
-                        yc[i] = convert(acc[i], outScale[c], false);
-                    }
-                }
+            for (unsigned c = 0; c < k; ++c) {
+                if (act[c] && partial[c] != 0)
+                    addPartial(
+                        accBatch[static_cast<std::size_t>(c) *
+                                     blockSize + i],
+                        partial[c], baseShift);
             }
         }
 
-        // Exact completion + timing for this width group's columns.
-        for (unsigned c : cols) {
-            const SignedAcc *acc =
-                accBatch.data() +
-                static_cast<std::size_t>(c) * blockSize;
-            const std::uint8_t *done =
-                doneBatch.data() +
-                static_cast<std::size_t>(c) * blockSize;
+        // Early termination check (between groups), per column.
+        if (!cfg.earlyTermination)
+            continue;
+        for (unsigned c = 0; c < k; ++c) {
+            if (!part[c])
+                continue;
+            const int remSig =
+                scheduleOf[c]->maxRemainingSignificance(step - lag[c]);
+            if (remSig < 0)
+                continue; // grid exhausted; exact completion below
+            // Remaining contribution bound: each remaining cell (b, k)
+            // contributes at most N * 2^(b+k); at most min(B, K) cells
+            // share a significance level, and the geometric sum over
+            // levels <= remSig doubles the top one.
+            const int bound = remSig + static_cast<int>(nBits) +
+                              sigCellBits[c] + 2;
+            SignedAcc *const acc =
+                accBatch.data() + static_cast<std::size_t>(c) * blockSize;
             const std::span<double> yc = Y.subspan(
                 static_cast<std::size_t>(c) * blockSize, blockSize);
             for (unsigned i = 0; i < blockSize; ++i) {
-                if (!done[i])
-                    yc[i] = convert(acc[i], outScale[c], true);
+                std::uint8_t &done =
+                    doneBatch[static_cast<std::size_t>(i) * k + c];
+                if (done)
+                    continue;
+                U256 decoded = acc[i].mag;
+                int boundDec = bound;
+                if (cfg.anProtect) {
+                    decoded.divSmall(cfg.anConstant);
+                    boundDec = bound - anShift + 2;
+                }
+                if (settled(decoded, boundDec,
+                            cfg.targetMantissaBits + 3)) {
+                    done = 1;
+                    --alive[c];
+                    --aliveAll;
+                    ++colStats[c].columnsEarlyTerminated;
+                    yc[i] = convert(acc[i], outScale[c], false);
+                }
             }
-            ClusterStats &cs = colStats[c];
-            cs.cycles = cs.groupsExecuted * cfg.size + 12;
-            cs.latency =
-                static_cast<double>(cs.cycles) / cfg.xbar.fClkHz;
-            cs.energy = cs.arrayEnergy + cs.adcEnergy;
         }
     }
 
-    // Aggregate in column order: bitwise the sum a caller looping
-    // the single-RHS path and folding its stats would compute.
+    // --- exact completion + timing ------------------------------------
+    for (unsigned c = 0; c < k; ++c) {
+        const SignedAcc *acc =
+            accBatch.data() + static_cast<std::size_t>(c) * blockSize;
+        const std::span<double> yc = Y.subspan(
+            static_cast<std::size_t>(c) * blockSize, blockSize);
+        for (unsigned i = 0; i < blockSize; ++i) {
+            if (!doneBatch[static_cast<std::size_t>(i) * k + c])
+                yc[i] = convert(acc[i], outScale[c], true);
+        }
+        ClusterStats &cs = colStats[c];
+        cs.cycles = cs.groupsExecuted * cfg.size + 12;
+        cs.latency = static_cast<double>(cs.cycles) / cfg.xbar.fClkHz;
+        cs.energy = cs.arrayEnergy + cs.adcEnergy;
+    }
+
+    // Aggregate in column order: bitwise the sum a caller folding
+    // k one-column results would compute (k == 1 returns the
+    // column's stats unchanged).
     ClusterStats agg;
     for (unsigned c = 0; c < k; ++c)
         agg += colStats[c];

@@ -110,13 +110,18 @@ struct ClusterStats
 
 /** Field-wise sum; the batched multiply reports the per-column stats
  *  folded in column order through this, so the aggregate is bitwise
- *  what summing k single-RHS results in the same order yields. */
+ *  what summing k one-column results in the same order yields. */
 ClusterStats &operator+=(ClusterStats &into, const ClusterStats &s);
 
 /**
  * Functional cluster. program() maps a block; multiply() performs
  * the block MVM at the (matrix slice x vector slice) group
  * granularity the hardware uses.
+ *
+ * There is one kernel body: the k-column panel multiply. Columns are
+ * bitwise independent -- multiply(X, Y, k) equals k one-column
+ * panels in column order -- and the single-RHS overload is the k = 1
+ * panel, unpacking the peeled-index list.
  */
 class Cluster
 {
@@ -144,6 +149,8 @@ class Cluster
      *                 exponents fell outside the 64-bit alignment
      *                 window; their column contributions are NOT in y
      *                 and must be handled digitally by the caller.
+     *
+     * Runs the panel multiply with k = 1.
      */
     ClusterStats multiply(std::span<const double> x,
                           std::span<double> y,
@@ -151,15 +158,15 @@ class Cluster
 
     /**
      * Batched multi-RHS multiply: Y column c = round(block * X
-     * column c) for k right-hand sides, bitwise identical to k
-     * single-RHS multiply() calls in column order.
+     * column c) for k right-hand sides. Columns are independent:
+     * the result is bitwise identical to k one-column calls in
+     * column order.
      *
      * @param X       column-major panel, k columns of block size
      * @param Y       column-major output panel; overwritten
      * @param k       number of right-hand sides (>= 1)
      * @param peeled  optional out: resized to k; entry c receives the
-     *                peeled vector-element indices of column c (see
-     *                the single-RHS overload)
+     *                peeled vector-element indices of column c
      *
      * The contribution tables, ADC energy tables, and gate-bitmap
      * transposes are built once and shared across all k columns;
@@ -167,9 +174,9 @@ class Cluster
      * peeling) is kept independent. Returns the per-column stats
      * folded in column order (operator+=); @p colStats (optional)
      * receives the k per-column records, each bitwise what the
-     * corresponding single-RHS call returns -- callers that fold
+     * corresponding one-column call returns -- callers that fold
      * stats across blocks AND columns (the operator adapters) need
-     * them to reproduce the sequential fold order exactly.
+     * them to reproduce the per-column fold order exactly.
      */
     ClusterStats multiply(
         std::span<const double> X, std::span<double> Y, unsigned k,
@@ -212,12 +219,11 @@ class Cluster
      * Precomputed per-(bLo, bHi) contribution table: the signed
      * masked difference ((stored & mask) - (storedBias & mask)) >>
      * bLo per element. It depends only on the programmed data, so
-     * program() invalidates the cache and every multiply -- single-
-     * or multi-RHS -- builds a range lazily on first use and reuses
-     * it across columns and across calls. Ranges narrow enough for
-     * int16 deltas (width <= 15; every skewed schedule in practice)
-     * use a flat int16 table; wider ranges fall back to sign + U128
-     * magnitude.
+     * program() invalidates the cache and every multiply builds a
+     * range lazily on first use and reuses it across columns and
+     * across calls. Ranges narrow enough for int16 deltas (width <=
+     * 15; every skewed schedule in practice) use a flat int16 table;
+     * wider ranges fall back to sign + U128 magnitude.
      */
     struct RangeTable
     {
@@ -228,29 +234,28 @@ class Cluster
         std::vector<U128> magW;          //!< wide: |delta| >> bLo
     };
 
-    /** One segment of a schedule group, resolved to its kernel
-     *  inputs: contribution table, gating slice, and weight. */
-    struct SegKernel
-    {
-        const RangeTable *tab = nullptr;
-        const BitVec *gate = nullptr;
-        unsigned shift = 0; //!< bLo + k
-    };
-
     /** Lazily built table for the range (bLo, bHi) of the current
      *  program; stable reference until the next program(). */
     const RangeTable &rangeTable(unsigned bLo, unsigned bHi);
 
     /** Add m * 2^shift to @p a without materializing a full-width
      *  shifted temporary: at most two words are nonzero (m < 2^63,
-     *  which covers both the single int16 delta and the batched
-     *  per-row delta sum, bounded by nnz * 2^15). */
+     *  which covers the per-row delta sum, bounded by
+     *  nnz * 2^15). */
     static void addSmall(SignedAcc &a, bool neg, std::uint64_t m,
                          unsigned shift);
 
+    /** Largest relative weight at which a row's int32 segment sums
+     *  (< 2^31 each, at most 127 segments per group) still fit one
+     *  signed 128-bit partial: 2^(7 + 31 + 88) < 2^127. */
+    static constexpr unsigned maxPartialShift = 88;
+
+    /** Add v * 2^shift to @p a; v is a group's 128-bit partial. */
+    static void addPartial(SignedAcc &a, __int128 v, unsigned shift);
+
     /** Exponent-window peeling of an input vector: copy x into
      *  masked with out-of-window elements zeroed, recording their
-     *  indices. Shared by the single- and multi-RHS paths. */
+     *  indices. */
     void peelVector(std::span<const double> x,
                     std::span<double> masked, ClusterStats &stats,
                     std::vector<std::int32_t> *peeled);
@@ -296,18 +301,11 @@ class Cluster
     std::vector<std::int16_t> tableIdx;
 
     // Reusable per-call scratch, hoisted out of the multiply hot
-    // paths so steady-state calls stop allocating (the aligners'
-    // internal vectors are the only per-call allocations left).
-    std::vector<double> maskedScratch;
+    // path: the peeling sort buffer, per-column accumulators,
+    // per-(row, column) termination flags, the per-(slice k, element,
+    // column) gate transpose, and the k-wide delta sums and alive
+    // flags of the inner loop.
     std::vector<std::pair<int, std::int32_t>> expsScratch;
-    std::vector<SignedAcc> accScratch;
-    std::vector<std::uint8_t> doneScratch;
-    std::vector<VectorSlice> vslicesScratch;
-    std::vector<const BitVec *> sliceByKScratch;
-    std::vector<SegKernel> kernelScratch;
-    // Batched-path scratch: per-column accumulators/termination
-    // flags, the per-(slice k, element, column) gate transpose, and
-    // the k-wide delta sums of the inner loop.
     std::vector<SignedAcc> accBatch;
     std::vector<std::uint8_t> doneBatch;
     std::vector<double> maskedBatch;

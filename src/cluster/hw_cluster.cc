@@ -24,69 +24,44 @@ constinit telemetry::Counter
 
 /**
  * Exact, unfaulted reduction of one (row, vector-slice) scan: counts
- * are <= blockSize, so the whole shift-and-add reduction fits a raw
- * 4-limb accumulator with explicit carry chains -- the same integer
- * sum addShifted computes, without a U256 temporary per read.
- * Overflow past limb 3 is discarded exactly as addShifted discards
- * bits above 2^256. Shared verbatim by the single- and multi-RHS
- * exact-read paths so they cannot diverge.
+ * are <= blockSize < 2^32, so the shift-and-add reduction of the
+ * slices below and above bit 64 fits two 128-bit accumulators (each
+ * < 2^96) -- the same integer sum addShifted computes, without a
+ * U256 temporary or a carry chain per read. The sum stays below
+ * 2^160, inside the 256-bit word.
  */
 inline U256
 reduceRowSlice(const std::uint64_t *rowCols,
                const std::uint8_t *rowInv, const std::uint64_t *in,
                std::uint64_t pc, unsigned nSlices, unsigned nw)
 {
-    std::uint64_t rw[4] = {0, 0, 0, 0};
-    const auto spill = [&rw](unsigned wi, std::uint64_t v) {
-        while (v && wi < 4) {
-            const std::uint64_t old = rw[wi];
-            rw[wi] = old + v;
-            v = rw[wi] < old ? 1 : 0;
-            ++wi;
-        }
-    };
-    if (nw == 1) {
-        // Blocks up to 64 wide: a column read is one
-        // word-AND-popcount; keep the scan branchless on memory and
-        // stride-1 on rowCols.
-        const std::uint64_t in0 = in[0];
-        for (unsigned b = 0; b < nSlices; ++b) {
-            std::uint64_t n = static_cast<std::uint64_t>(
-                std::popcount(rowCols[b] & in0));
-            // Exact reads never exceed pc, so the CIC correction
-            // cannot go negative here.
-            if (rowInv[b])
-                n = pc - n;
-            if (!n)
-                continue;
-            const unsigned wi = b / 64;
-            const unsigned bi = b % 64;
-            spill(wi, n << bi);
-            if (bi)
-                spill(wi + 1, n >> (64 - bi));
-        }
-    } else {
-        for (unsigned b = 0; b < nSlices; ++b) {
-            const std::uint64_t *cw =
-                rowCols + static_cast<std::size_t>(b) * nw;
-            std::uint64_t n = 0;
-            for (unsigned w = 0; w < nw; ++w)
-                n += static_cast<std::uint64_t>(
-                    std::popcount(cw[w] & in[w]));
-            if (rowInv[b])
-                n = pc - n;
-            if (!n)
-                continue;
-            const unsigned wi = b / 64;
-            const unsigned bi = b % 64;
-            spill(wi, n << bi);
-            if (bi)
-                spill(wi + 1, n >> (64 - bi));
-        }
+    using Acc = unsigned __int128;
+    Acc lo = 0; //!< slices 0..63 at weight 2^b
+    Acc hi = 0; //!< slices 64.. at weight 2^(b - 64)
+    for (unsigned b = 0; b < nSlices; ++b) {
+        const std::uint64_t *cw =
+            rowCols + static_cast<std::size_t>(b) * nw;
+        std::uint64_t n = 0;
+        for (unsigned w = 0; w < nw; ++w)
+            n += static_cast<std::uint64_t>(
+                std::popcount(cw[w] & in[w]));
+        // Exact reads never exceed pc, so the CIC correction cannot
+        // go negative here.
+        if (rowInv[b])
+            n = pc - n;
+        if (b < 64)
+            lo += static_cast<Acc>(n) << b;
+        else
+            hi += static_cast<Acc>(n) << (b - 64);
     }
+    // lo + hi * 2^64, limb by limb.
+    const Acc mid = (lo >> 64) + static_cast<std::uint64_t>(hi);
+    const Acc top = (hi >> 64) + (mid >> 64);
     U256 reduced;
-    for (unsigned w = 0; w < 4; ++w)
-        reduced.setWord(w, rw[w]);
+    reduced.setWord(0, static_cast<std::uint64_t>(lo));
+    reduced.setWord(1, static_cast<std::uint64_t>(mid));
+    reduced.setWord(2, static_cast<std::uint64_t>(top));
+    reduced.setWord(3, static_cast<std::uint64_t>(top >> 64));
     return reduced;
 }
 
@@ -261,70 +236,95 @@ HwClusterStats
 HwCluster::multiply(std::span<const double> x, std::span<double> y,
                     Rng *rng)
 {
+    return multiplyPanel(x, y, 1, rng, "hw.multiply");
+}
+
+HwClusterStats
+HwCluster::multiply(std::span<const double> X, std::span<double> Y,
+                    unsigned k, Rng *rng)
+{
+    return multiplyPanel(X, Y, k, rng, "hw.multiply_batch");
+}
+
+HwClusterStats
+HwCluster::multiplyPanel(std::span<const double> X,
+                         std::span<double> Y, unsigned k, Rng *rng,
+                         const char *spanName)
+{
     if (!programmed)
         fatal("HwCluster::multiply: program() first");
-    if (x.size() != blockSize || y.size() != blockSize)
-        fatal("HwCluster::multiply: vector size mismatch");
+    if (k == 0)
+        fatal("HwCluster::multiply: batch needs at least one column");
+    const std::size_t panel =
+        static_cast<std::size_t>(blockSize) * k;
+    if (X.size() != panel || Y.size() != panel)
+        fatal("HwCluster::multiply: panel size mismatch");
 
-    telemetry::Span span("hw.multiply");
+    telemetry::Span span(spanName);
     HwClusterStats stats;
     for (const auto &xbar : slices) {
         for (unsigned i = 0; i < blockSize; ++i)
             stats.cicInvertedColumns +=
                 xbar.columnInverted(i) ? 1 : 0;
     }
+    // Every column reports the same census.
+    stats.cicInvertedColumns *= k;
 
-    // Vector alignment (no peeling here: the verification harness
-    // feeds in-range vectors; out-of-range input is a fatal).
-    const AlignedSet vx = alignValues(x);
-    const BiasedSet ux = biasEncode(vx);
-    const int outScale = blockScale + vx.scale;
+    // Per-column front end: vector alignment (no peeling here: the
+    // verification harness feeds in-range vectors; out-of-range input
+    // is a fatal), active slices (MSB first), and running sums
+    // initialized with the folded vector-bias correction -bX *
+    // rowSumF. The de-bias term of a reduced word, storedBias *
+    // popcount(slice), depends only on the slice, so it is
+    // precomputed here instead of per (row, slice) in the scan.
+    accBatch.assign(panel, SignedWord{});
+    std::vector<int> outScale(k);
+    std::vector<std::vector<VectorSlice>> activeC(k);
+    std::vector<std::vector<U256>> biasTermsC(k);
+    for (unsigned c = 0; c < k; ++c) {
+        const AlignedSet vx = alignValues(X.subspan(
+            static_cast<std::size_t>(c) * blockSize, blockSize));
+        const BiasedSet ux = biasEncode(vx);
+        outScale[c] = blockScale + vx.scale;
+        activeC[c] = activeBitSlices(ux);
+        biasTermsC[c].reserve(activeC[c].size());
+        for (const VectorSlice &vs : activeC[c]) {
+            U256 term = storedBias;
+            term.mulSmall(vs.pc);
+            biasTermsC[c].push_back(term);
+        }
+        SignedWord *const acc =
+            accBatch.data() + static_cast<std::size_t>(c) * blockSize;
+        for (unsigned i = 0; i < blockSize; ++i) {
+            U256 init = rowSumF[i].mag << ux.biasBits;
+            if (cfg.anProtect)
+                init.mulSmall(cfg.anConstant);
+            acc[i].neg = !rowSumF[i].neg;
+            acc[i].mag = init;
+            if (init.isZero())
+                acc[i].neg = false;
+        }
+    }
 
     const ColumnReadModel readModel(cfg.cell);
-
-    // Running sums initialized with the folded vector-bias
-    // correction -bX * rowSumF (known at apply time).
-    accScratch.assign(blockSize, SignedWord{});
-    SignedWord *const acc = accScratch.data();
-    for (unsigned i = 0; i < blockSize; ++i) {
-        U256 init = rowSumF[i].mag << ux.biasBits;
-        if (cfg.anProtect)
-            init.mulSmall(cfg.anConstant);
-        acc[i].neg = !rowSumF[i].neg;
-        acc[i].mag = init;
-        if (init.isZero())
-            acc[i].neg = false;
-    }
-
-    // 1. Build the active vector slices (MSB first) once: they are
-    // shared read-only by every output row. The de-bias term of a
-    // reduced word, storedBias * popcount(slice), depends only on
-    // the slice, so it is precomputed here instead of per (row,
-    // slice) in the scan.
-    const std::size_t nActive = activeBitSlices(ux, vslicesScratch);
-    const VectorSlice *const active = vslicesScratch.data();
-    biasTermsScratch.clear();
-    for (std::size_t si = 0; si < nActive; ++si) {
-        U256 term = storedBias;
-        term.mulSmall(active[si].pc);
-        biasTermsScratch.push_back(term);
-    }
 
     // Exact reads are popcounts against the stored column bits, so
     // flatten every (row, slice) column into one contiguous word
     // matrix up front -- [row][slice][word], inner scan order -- and
-    // hoist the CIC flags next to it. One multiply reads each column
-    // activeSlices times; the flatten pays the BitVec indirections
-    // once instead of per read. Analog reads keep drawing through
-    // the device model, which owns the noise stream order.
+    // hoist the CIC flags next to it. It is shared by every (row,
+    // column) scan; the flatten pays the BitVec indirections once
+    // instead of per read. Analog reads keep drawing through the
+    // device model, which owns the noise stream order.
     const unsigned nw =
         static_cast<unsigned>((blockSize + 63) / 64);
     if (!cfg.analogReads)
         flattenColumns(nw);
+    const bool fastReads = !cfg.analogReads && !injector;
 
-    // One output row through every active slice: steps 2-6 of the
-    // dataflow. Rows are independent of each other.
-    auto scanRow = [&](unsigned i, Rng *rowRng,
+    // One output row of one column through every active slice: steps
+    // 2-6 of the dataflow. (Row, column) scans are independent of
+    // each other.
+    auto scanRow = [&](unsigned c, unsigned i, Rng *rowRng,
                        HwClusterStats &st) {
         const std::uint64_t *rowCols = cfg.analogReads
             ? nullptr
@@ -333,8 +333,11 @@ HwCluster::multiply(std::span<const double> x, std::span<double> y,
         const std::uint8_t *rowInv = cfg.analogReads
             ? nullptr
             : &colInvScratch[static_cast<std::size_t>(i) * nSlices];
-        const bool fastReads = !cfg.analogReads && !injector;
-        for (std::size_t si = 0; si < nActive; ++si) {
+        const auto &active = activeC[c];
+        const auto &biasTerms = biasTermsC[c];
+        SignedWord &acc =
+            accBatch[static_cast<std::size_t>(c) * blockSize + i];
+        for (std::size_t si = 0; si < active.size(); ++si) {
             const VectorSlice &vs = active[si];
             const std::uint64_t *in = vs.bits.raw().data();
             // 2. + 3. ADC scans and shift-and-add reduction.
@@ -383,7 +386,7 @@ HwCluster::multiply(std::span<const double> x, std::span<double> y,
             ++st.sliceWords;
 
             // 4. de-bias: subtract storedBias * popcount.
-            const U256 &biasTerm = biasTermsScratch[si];
+            const U256 &biasTerm = biasTerms[si];
             SignedWord word;
             if (reduced >= biasTerm) {
                 word.neg = false;
@@ -411,32 +414,44 @@ HwCluster::multiply(std::span<const double> x, std::span<double> y,
             }
 
             // 6. update the running sum at weight 2^k.
-            acc[i].add(word.neg, word.mag << vs.k);
+            acc.add(word.neg, word.mag << vs.k);
         }
     };
 
     if (injector) {
         // faultedRead mutates shared injector state (its transient
         // stream and counters), so an attached injector pins the
-        // scan to the sequential row-major order.
-        for (unsigned i = 0; i < blockSize; ++i)
-            scanRow(i, rng, stats);
+        // scan to column-outer, row-sequential order -- the order k
+        // one-column calls visit -- with the caller's generator
+        // shared by every read.
+        for (unsigned c = 0; c < k; ++c) {
+            for (unsigned i = 0; i < blockSize; ++i)
+                scanRow(c, i, rng, stats);
+        }
     } else {
-        // Per-row noise streams are split off the caller's generator
-        // up front, in row order, so the draws a row sees depend
-        // only on its index -- never on the lane count.
+        // Rows scan in parallel over all k columns. Analog noise
+        // streams are split off the caller's generator up front, one
+        // per (column, row) in column-major order, so the draws a
+        // scan sees depend only on its position -- never on the lane
+        // count -- and are bitwise those of k one-column calls.
         std::vector<Rng> rowRngs;
         if (cfg.analogReads && rng) {
-            rowRngs.reserve(blockSize);
-            for (unsigned i = 0; i < blockSize; ++i)
+            rowRngs.reserve(panel);
+            for (std::size_t r = 0; r < panel; ++r)
                 rowRngs.emplace_back(rng->next());
         }
         partScratch.assign(blockSize, HwClusterStats{});
         parallelFor(blockSize, [&](std::size_t i) {
-            scanRow(static_cast<unsigned>(i),
-                    rowRngs.empty() ? nullptr : &rowRngs[i],
-                    partScratch[i]);
+            for (unsigned c = 0; c < k; ++c) {
+                scanRow(c, static_cast<unsigned>(i),
+                        rowRngs.empty()
+                            ? nullptr
+                            : &rowRngs[static_cast<std::size_t>(c) *
+                                           blockSize + i],
+                        partScratch[i]);
+            }
         });
+        // The stats counters are order-independent integer totals.
         for (const HwClusterStats &p : partScratch) {
             stats.sliceWords += p.sliceWords;
             stats.cleanWords += p.cleanWords;
@@ -445,166 +460,7 @@ HwCluster::multiply(std::span<const double> x, std::span<double> y,
         }
     }
 
-    // Final conversion: decode and round.
-    for (unsigned i = 0; i < blockSize; ++i) {
-        U256 mag = acc[i].mag;
-        if (cfg.anProtect) {
-            const std::uint64_t rem = mag.divSmall(cfg.anConstant);
-            if (rem != 0) {
-                // Residual uncorrected damage: fold the remainder
-                // away (truncation) and count it.
-                ++stats.uncorrectableWords;
-            }
-        }
-        y[i] = fixedToDouble(acc[i].neg, mag, outScale,
-                             cfg.rounding);
-    }
-    // Every reduced word took one ADC conversion per weight slice.
-    ctrAdc.add(stats.sliceWords * nSlices);
-    ctrAnClean.add(stats.cleanWords);
-    ctrAnCorrected.add(stats.correctedWords);
-    ctrAnUncorrectable.add(stats.uncorrectableWords);
-    ctrCicInverted.add(stats.cicInvertedColumns);
-    return stats;
-}
-
-HwClusterStats
-HwCluster::multiply(std::span<const double> X, std::span<double> Y,
-                    unsigned k, Rng *rng)
-{
-    if (!programmed)
-        fatal("HwCluster::multiply: program() first");
-    if (k == 0)
-        fatal("HwCluster::multiply: batch needs at least one column");
-    const std::size_t panel =
-        static_cast<std::size_t>(blockSize) * k;
-    if (X.size() != panel || Y.size() != panel)
-        fatal("HwCluster::multiply: panel size mismatch");
-
-    // Analog reads and attached injectors own the order of their
-    // noise draws / fault streams; that configuration must replay
-    // the k sequential single-RHS calls literally.
-    if (cfg.analogReads || injector) {
-        HwClusterStats agg;
-        for (unsigned c = 0; c < k; ++c) {
-            agg += multiply(
-                X.subspan(static_cast<std::size_t>(c) * blockSize,
-                          blockSize),
-                Y.subspan(static_cast<std::size_t>(c) * blockSize,
-                          blockSize),
-                rng);
-        }
-        return agg;
-    }
-
-    telemetry::Span span("hw.multiply_batch");
-    HwClusterStats stats;
-    for (const auto &xbar : slices) {
-        for (unsigned i = 0; i < blockSize; ++i)
-            stats.cicInvertedColumns +=
-                xbar.columnInverted(i) ? 1 : 0;
-    }
-    // Each single-RHS call reports the same census.
-    stats.cicInvertedColumns *= k;
-
-    // Per-column front end: alignment, active slices, de-bias terms,
-    // running-sum init. All input-dependent, so per column; the
-    // flatten below is the shared programmed-side state.
-    accBatch.assign(panel, SignedWord{});
-    std::vector<int> outScale(k);
-    std::vector<std::vector<VectorSlice>> activeC(k);
-    std::vector<std::vector<U256>> biasTermsC(k);
-    for (unsigned c = 0; c < k; ++c) {
-        const AlignedSet vx = alignValues(X.subspan(
-            static_cast<std::size_t>(c) * blockSize, blockSize));
-        const BiasedSet ux = biasEncode(vx);
-        outScale[c] = blockScale + vx.scale;
-        activeC[c] = activeBitSlices(ux);
-        biasTermsC[c].reserve(activeC[c].size());
-        for (const VectorSlice &vs : activeC[c]) {
-            U256 term = storedBias;
-            term.mulSmall(vs.pc);
-            biasTermsC[c].push_back(term);
-        }
-        SignedWord *const acc =
-            accBatch.data() + static_cast<std::size_t>(c) * blockSize;
-        for (unsigned i = 0; i < blockSize; ++i) {
-            U256 init = rowSumF[i].mag << ux.biasBits;
-            if (cfg.anProtect)
-                init.mulSmall(cfg.anConstant);
-            acc[i].neg = !rowSumF[i].neg;
-            acc[i].mag = init;
-            if (init.isZero())
-                acc[i].neg = false;
-        }
-    }
-
-    // Shared flatten: built once, read by every (row, column) scan.
-    const unsigned nw =
-        static_cast<unsigned>((blockSize + 63) / 64);
-    flattenColumns(nw);
-
-    // Row-parallel scan, k columns per row: the per-(row, column)
-    // reductions and running sums are independent, and the stats
-    // counters are order-independent integer totals, so the merge
-    // equals the k sequential single-RHS merges bitwise.
-    partScratch.assign(blockSize, HwClusterStats{});
-    parallelFor(blockSize, [&](std::size_t i) {
-        HwClusterStats &st = partScratch[i];
-        const std::uint64_t *rowCols = &colWordsScratch[
-            static_cast<std::size_t>(i) * nSlices * nw];
-        const std::uint8_t *rowInv =
-            &colInvScratch[static_cast<std::size_t>(i) * nSlices];
-        for (unsigned c = 0; c < k; ++c) {
-            SignedWord &a =
-                accBatch[static_cast<std::size_t>(c) * blockSize + i];
-            const auto &active = activeC[c];
-            const auto &biasTerms = biasTermsC[c];
-            for (std::size_t si = 0; si < active.size(); ++si) {
-                const VectorSlice &vs = active[si];
-                const U256 reduced = reduceRowSlice(
-                    rowCols, rowInv, vs.bits.raw().data(), vs.pc,
-                    nSlices, nw);
-                ++st.sliceWords;
-
-                const U256 &biasTerm = biasTerms[si];
-                SignedWord word;
-                if (reduced >= biasTerm) {
-                    word.neg = false;
-                    word.mag = reduced - biasTerm;
-                } else {
-                    word.neg = true;
-                    word.mag = biasTerm - reduced;
-                }
-
-                if (cfg.anProtect) {
-                    switch (an.correctSigned(word.mag, word.neg)) {
-                      case AnCode::Outcome::Clean:
-                        ++st.cleanWords;
-                        break;
-                      case AnCode::Outcome::Corrected:
-                        ++st.correctedWords;
-                        break;
-                      case AnCode::Outcome::Uncorrectable:
-                        ++st.uncorrectableWords;
-                        break;
-                    }
-                } else {
-                    ++st.cleanWords;
-                }
-
-                a.add(word.neg, word.mag << vs.k);
-            }
-        }
-    });
-    for (const HwClusterStats &p : partScratch) {
-        stats.sliceWords += p.sliceWords;
-        stats.cleanWords += p.cleanWords;
-        stats.correctedWords += p.correctedWords;
-        stats.uncorrectableWords += p.uncorrectableWords;
-    }
-
-    // Final conversion, column-major like the sequential calls.
+    // Final conversion: decode and round, column by column.
     for (unsigned c = 0; c < k; ++c) {
         const SignedWord *acc =
             accBatch.data() + static_cast<std::size_t>(c) * blockSize;
@@ -615,6 +471,8 @@ HwCluster::multiply(std::span<const double> X, std::span<double> Y,
             if (cfg.anProtect) {
                 const std::uint64_t rem =
                     mag.divSmall(cfg.anConstant);
+                // Residual uncorrected damage: fold the remainder
+                // away (truncation) and count it.
                 if (rem != 0)
                     ++stats.uncorrectableWords;
             }
@@ -623,6 +481,7 @@ HwCluster::multiply(std::span<const double> X, std::span<double> Y,
         }
     }
 
+    // Every reduced word took one ADC conversion per weight slice.
     ctrAdc.add(stats.sliceWords * nSlices);
     ctrAnClean.add(stats.cleanWords);
     ctrAnCorrected.add(stats.correctedWords);

@@ -50,7 +50,7 @@ struct HwClusterStats
 };
 
 /** Field-wise sum; every counter is an order-independent total, so
- *  the batched multiply's aggregate equals folding k single-RHS
+ *  the batched multiply's aggregate equals folding k one-column
  *  results. */
 HwClusterStats &operator+=(HwClusterStats &into,
                            const HwClusterStats &s);
@@ -114,18 +114,18 @@ class HwCluster
     std::size_t scrub() const;
 
     /** y[i] = round(sum_j block[i][j] * x[j]) via the full hardware
-     *  dataflow. */
+     *  dataflow: the k = 1 panel multiply. */
     HwClusterStats multiply(std::span<const double> x,
                             std::span<double> y, Rng *rng = nullptr);
 
     /**
-     * Batched multi-RHS multiply over a column-major k-column panel,
-     * bitwise identical to k single-RHS multiply() calls in column
-     * order. With exact digital reads the flattened column-word
-     * matrix is built once and shared across all k columns; analog
-     * reads or an attached injector own stateful draw/fault-stream
-     * order, so that configuration replays the k sequential calls
-     * literally. Returns the per-column stats folded (operator+=).
+     * Batched multi-RHS multiply over a column-major k-column panel.
+     * Columns are independent: the result is bitwise identical to k
+     * one-column calls in column order, including the analog noise
+     * draws taken from @p rng and an attached injector's fault
+     * streams. With exact digital reads the flattened column-word
+     * matrix is built once and shared across all k columns. Returns
+     * the per-column stats folded (operator+=).
      */
     HwClusterStats multiply(std::span<const double> X,
                             std::span<double> Y, unsigned k,
@@ -159,6 +159,12 @@ class HwCluster
      *  so it runs per multiply, not per program). */
     void flattenColumns(unsigned nw);
 
+    /** The one multiply body behind both overloads; @p spanName
+     *  names its trace span. */
+    HwClusterStats multiplyPanel(std::span<const double> X,
+                                 std::span<double> Y, unsigned k,
+                                 Rng *rng, const char *spanName);
+
     Config cfg;
     AnCode an;
     FaultInjector *injector = nullptr;
@@ -179,16 +185,11 @@ class HwCluster
      *  rows (outputs). */
     std::vector<BinaryCrossbar> slices;
 
-    // Reusable per-call scratch, hoisted so steady-state multiplies
-    // stop allocating on the exact-read path (the aligners' internal
-    // vectors are the only per-call allocations left).
-    std::vector<SignedWord> accScratch;
-    std::vector<VectorSlice> vslicesScratch;
-    std::vector<U256> biasTermsScratch;
+    // Reusable per-call scratch: the flattened column words and CIC
+    // flags, per-row stats partials, and per-column running sums.
     std::vector<std::uint64_t> colWordsScratch;
     std::vector<std::uint8_t> colInvScratch;
     std::vector<HwClusterStats> partScratch;
-    // Batched-path scratch: per-column running sums.
     std::vector<SignedWord> accBatch;
 };
 

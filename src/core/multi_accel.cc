@@ -112,41 +112,6 @@ MultiAccelerator::spmv(std::span<const double> x,
     }
 }
 
-void
-MultiAccelerator::spmm(std::span<const double> X,
-                       std::span<double> Y, unsigned k) const
-{
-    if (!isPrepared)
-        fatal("MultiAccelerator::spmm: prepare() first");
-    if (k == 0)
-        fatal("MultiAccelerator::spmm: empty panel");
-    if (X.size() != static_cast<std::size_t>(cols) * k ||
-        Y.size() != static_cast<std::size_t>(prep.rows) * k)
-        fatal("MultiAccelerator::spmm: panel size mismatch");
-    const auto nRows = static_cast<std::size_t>(prep.rows);
-    for (std::size_t d = 0; d < devices.size(); ++d) {
-        const auto [lo, hi] = slabs[d];
-        const auto slabRows = static_cast<std::size_t>(hi - lo);
-        // The device writes a k-column panel of its slab; Y's
-        // columns are full-height, so the slab panel lands in a
-        // local buffer and scatters out column by column (a copy,
-        // never an arithmetic op -- the bitwise contract holds).
-        std::vector<double> local(slabRows * k);
-        devices[d]->spmm(X, local, k);
-        for (unsigned c = 0; c < k; ++c)
-            std::copy_n(local.data() + c * slabRows, slabRows,
-                        Y.data() + c * nRows +
-                            static_cast<std::size_t>(lo));
-    }
-}
-
-void
-MultiAccelerator::setExecContext(const ExecContext *ctx)
-{
-    for (auto &dev : devices)
-        dev->setExecContext(ctx);
-}
-
 AccelCost
 MultiAccelerator::solveCost(const SolverResult &run,
                             bool includeSetup) const

@@ -62,29 +62,8 @@ class MultiAccelerator
     bool prepared() const { return isPrepared; }
     const MultiPrepareResult &info() const { return prep; }
 
-    /** Dimensions of the prepared matrix (0 before prepare()). */
-    std::int32_t rows() const { return prep.rows; }
-    std::int32_t matrixCols() const { return cols; }
-
     /** Functional y = A x across the fleet. */
     void spmv(std::span<const double> x, std::span<double> y) const;
-
-    /**
-     * Functional multi-RHS Y = A X over column-major k-column
-     * panels, bitwise identical to k spmv() calls in column order:
-     * each device runs its slab's spmm (which carries the PR 7
-     * bitwise batch contract) into a local panel and the slabs
-     * scatter into Y's columns without rounding.
-     */
-    void spmm(std::span<const double> X, std::span<double> Y,
-              unsigned k) const;
-
-    /**
-     * Forward an execution context to every device so a cancel or
-     * deadline lands mid-spmv on whichever slab is in flight. Call
-     * after prepare(); nullptr detaches. Not owned.
-     */
-    void setExecContext(const ExecContext *ctx);
 
     /** Map a solver run to fleet time/energy, including setup. */
     AccelCost solveCost(const SolverResult &run,
@@ -99,48 +78,6 @@ class MultiAccelerator
     std::vector<std::pair<std::int32_t, std::int32_t>> slabs;
     std::vector<Csr> slabMatrices;
     std::int32_t cols = 0;
-};
-
-/**
- * LinearOperator adapter over a prepared MultiAccelerator: the
- * sharding backend of the service runtime. apply()/applyBatch()
- * route to the fleet's spmv()/spmm(); setExecContext() forwards to
- * every device. Does not own the fleet.
- */
-class MultiAcceleratorOperator : public LinearOperator
-{
-  public:
-    explicit MultiAcceleratorOperator(MultiAccelerator &f)
-        : fleet(&f)
-    {}
-
-    std::int32_t rows() const override { return fleet->rows(); }
-    std::int32_t cols() const override
-    {
-        return fleet->matrixCols();
-    }
-
-    void
-    apply(std::span<const double> x, std::span<double> y) override
-    {
-        fleet->spmv(x, y);
-    }
-
-    void
-    applyBatch(std::span<const double> X, std::span<double> Y,
-               unsigned k) override
-    {
-        fleet->spmm(X, Y, k);
-    }
-
-    void
-    setExecContext(const ExecContext *ctx) override
-    {
-        fleet->setExecContext(ctx);
-    }
-
-  private:
-    MultiAccelerator *fleet;
 };
 
 } // namespace msc

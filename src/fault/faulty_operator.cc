@@ -114,138 +114,32 @@ void
 FaultyAccelOperator::apply(std::span<const double> x,
                            std::span<double> y)
 {
-    if (x.size() != static_cast<std::size_t>(matCols) ||
-        y.size() != static_cast<std::size_t>(matRows))
-        fatal("FaultyAccelOperator: dimension mismatch");
-
-    telemetry::Span span("fault.apply");
-
-    // Local-processor part: unblockable leftovers, always exact.
-    plan.unblocked.spmv(x, y);
-
-    const double inf = std::numeric_limits<double>::infinity();
-    const std::uint64_t seq = applySeq++;
-
-    // Every block works against its own scratch slot and its own
-    // transient stream, keyed by (apply sequence, block), so the
-    // injected faults and the partial sums are independent of the
-    // lane count. The execution context is polled per block batch.
-    parallelFor(
-        plan.blocks.size(),
-        [&](std::size_t k) {
-        telemetry::Span blockSpan("fault.block");
-        ctrBlockSpans.add();
-        const MatrixBlock &blk = plan.blocks[k];
-        BlockState &st = state[k];
-        ApplyScratch &sc = scratch[k];
-        sc.stats = FaultStats{};
-        sc.yLocal.assign(blk.size, 0.0);
-        std::vector<double> &yLocal = sc.yLocal;
-
-        if (st.exact) {
-            // Degraded: the digital CSR path computes this block.
-            for (const Triplet &el : blk.elems) {
-                const std::int64_t row = blk.rowOrigin + el.row;
-                const std::int64_t col = blk.colOrigin + el.col;
-                if (row < matRows && col < matCols) {
-                    yLocal[static_cast<std::size_t>(el.row)] +=
-                        el.val *
-                        x[static_cast<std::size_t>(col)];
-                }
-            }
-            return;
-        }
-        if (st.dead) {
-            // A dead crossbar silently contributes nothing.
-            ++st.reads;
-            return;
-        }
-
-        for (const Triplet &el : blk.elems) {
-            const std::int64_t col = blk.colOrigin + el.col;
-            if (col < matCols) {
-                yLocal[static_cast<std::size_t>(el.row)] +=
-                    el.val * x[static_cast<std::size_t>(col)];
-            }
-        }
-        for (const StuckGlitch &g : st.stuck) {
-            const Triplet &el = blk.elems[g.elem];
-            const std::int64_t col = blk.colOrigin + el.col;
-            if (col < matCols) {
-                yLocal[static_cast<std::size_t>(el.row)] +=
-                    g.delta * x[static_cast<std::size_t>(col)];
-            }
-        }
-        if (camp.driftPerRead > 0.0) {
-            const double level =
-                camp.driftPerRead * static_cast<double>(st.reads);
-            for (unsigned i = 0; i < blk.size; ++i)
-                yLocal[i] += st.driftDir[i] * level * yLocal[i];
-        }
-        if (st.stuckColumn >= 0)
-            yLocal[static_cast<std::size_t>(st.stuckColumn)] =
-                st.stuckValue;
-        if (camp.transientUpsetRate > 0.0) {
-            Rng transient = injector.streamFor(
-                transientUnit(seq, plan.blocks.size(), k));
-            if (transient.chance(camp.transientUpsetRate)) {
-                const auto row = static_cast<std::size_t>(
-                    transient.below(blk.size));
-                if (transient.chance(camp.saturationRate)) {
-                    yLocal[row] = inf;
-                    ++sc.stats.saturatedConversions;
-                } else {
-                    // A surviving multi-bit upset lands near the top
-                    // of the output's significance window.
-                    const double mag = std::fabs(yLocal[row]);
-                    yLocal[row] +=
-                        (transient.chance(0.5) ? 1.0 : -1.0) *
-                        std::ldexp(mag != 0.0 ? mag : 1.0,
-                                   static_cast<int>(
-                                       transient.range(-2, 8)));
-                    ++sc.stats.transientUpsets;
-                }
-            }
-        }
-        ++st.reads;
-        },
-        1, exec);
-
-    // Fixed block-order reduction: y and the fault counters come out
-    // bit-identical for any thread count.
-    for (std::size_t k = 0; k < plan.blocks.size(); ++k) {
-        const MatrixBlock &blk = plan.blocks[k];
-        const BlockState &st = state[k];
-        const ApplyScratch &sc = scratch[k];
-        applyStats.transientUpsets += sc.stats.transientUpsets;
-        applyStats.saturatedConversions +=
-            sc.stats.saturatedConversions;
-        ctrTransients.add(sc.stats.transientUpsets);
-        ctrSaturated.add(sc.stats.saturatedConversions);
-        if (st.dead && !st.exact)
-            continue;
-        for (unsigned i = 0; i < blk.size; ++i) {
-            const std::int64_t row = blk.rowOrigin + i;
-            if (row < matRows)
-                y[static_cast<std::size_t>(row)] += sc.yLocal[i];
-        }
-    }
+    applyPanel(x, y, 1, "fault.apply");
 }
 
 void
 FaultyAccelOperator::applyBatch(std::span<const double> X,
                                 std::span<double> Y, unsigned k)
 {
+    applyPanel(X, Y, k, "fault.apply_batch");
+}
+
+void
+FaultyAccelOperator::applyPanel(std::span<const double> X,
+                                std::span<double> Y, unsigned k,
+                                const char *spanName)
+{
     const auto nc = static_cast<std::size_t>(matCols);
     const auto nr = static_cast<std::size_t>(matRows);
     if (k == 0)
         fatal("FaultyAccelOperator: empty batch");
     if (X.size() != nc * k || Y.size() != nr * k)
-        fatal("FaultyAccelOperator: panel size mismatch");
+        fatal("FaultyAccelOperator: dimension mismatch");
 
-    telemetry::Span span("fault.apply_batch");
+    telemetry::Span span(spanName);
 
-    // Local-processor part, per column in column order.
+    // Local-processor part: unblockable leftovers, always exact, per
+    // column in column order.
     for (unsigned c = 0; c < k; ++c) {
         plan.unblocked.spmv(X.subspan(c * nc, nc),
                             Y.subspan(c * nr, nr));
@@ -255,11 +149,12 @@ FaultyAccelOperator::applyBatch(std::span<const double> X,
     const std::uint64_t seq0 = applySeq;
     applySeq += k;
 
-    // Each block replays the k sequential applies against its own
-    // scratch panel: column c draws from the transient stream of
-    // apply sequence seq0 + c and sees the drift level of read count
-    // reads0 + c, so every injected fault lands positionally where
-    // k apply() calls would have put it, for any thread count.
+    // Every block works against its own scratch panel. Column c
+    // draws from the transient stream keyed by (apply sequence
+    // seq0 + c, block) and sees the drift level of read count
+    // reads0 + c, so every injected fault lands positionally where k
+    // one-column applies would have put it, independent of the lane
+    // count. The execution context is polled per block batch.
     parallelFor(
         plan.blocks.size(),
         [&](std::size_t kb) {
@@ -294,8 +189,8 @@ FaultyAccelOperator::applyBatch(std::span<const double> X,
                 continue;
             }
             if (st.dead) {
-                // A dead crossbar contributes nothing; its read
-                // counter still ticks once per column (below).
+                // A dead crossbar silently contributes nothing; its
+                // read counter still ticks once per column (below).
                 continue;
             }
 
@@ -334,6 +229,8 @@ FaultyAccelOperator::applyBatch(std::span<const double> X,
                         yLocal[row] = inf;
                         ++sc.colStats[c].saturatedConversions;
                     } else {
+                        // A surviving multi-bit upset lands near the
+                        // top of the output's significance window.
                         const double mag = std::fabs(yLocal[row]);
                         yLocal[row] +=
                             (transient.chance(0.5) ? 1.0 : -1.0) *
@@ -345,16 +242,16 @@ FaultyAccelOperator::applyBatch(std::span<const double> X,
                 }
             }
         }
-        // k sequential applies tick reads once each, except on a
-        // degraded block (the single path returns before the tick).
+        // Reads tick once per column, except on a degraded block
+        // (the digital path performs no crossbar read).
         if (!st.exact)
             st.reads += k;
         },
         1, exec);
 
-    // Reduction in (column, block) order -- exactly the order k
-    // sequential apply() calls fold, so y and the fault counters are
-    // bit-identical for any thread count.
+    // Fixed reduction in (column, block) order -- the order k
+    // one-column applies fold -- so y and the fault counters come
+    // out bit-identical for any thread count.
     for (unsigned c = 0; c < k; ++c) {
         const std::span<double> y = Y.subspan(c * nr, nr);
         for (std::size_t kb = 0; kb < plan.blocks.size(); ++kb) {

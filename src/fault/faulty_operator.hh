@@ -49,6 +49,7 @@ class FaultyAccelOperator : public RecoverableOperator
 
     std::int32_t rows() const override { return matRows; }
     std::int32_t cols() const override { return matCols; }
+    /** The k = 1 panel apply. */
     void apply(std::span<const double> x,
                std::span<double> y) override;
 
@@ -56,8 +57,8 @@ class FaultyAccelOperator : public RecoverableOperator
      * Batched multi-RHS apply: column c replays the transient stream
      * of apply sequence (entry applySeq + c) and the drift level of
      * read count (entry reads + c), so outputs, fault counters, and
-     * block read counts are bitwise identical to k apply() calls in
-     * column order -- for any thread count.
+     * block read counts are bitwise identical to k one-column applies
+     * in column order -- for any thread count.
      */
     void applyBatch(std::span<const double> X, std::span<double> Y,
                     unsigned k) override;
@@ -119,18 +120,21 @@ class FaultyAccelOperator : public RecoverableOperator
         std::uint64_t reads = 0; //!< MVMs since last program()
     };
 
-    /** Per-block partial output and fault counters for one apply();
-     *  written concurrently, merged in fixed block order. */
+    /** Per-block partial output panel (block.size x k, column-major)
+     *  and per-column fault tallies for one apply; written
+     *  concurrently, merged in fixed (column, block) order. */
     struct ApplyScratch
     {
         std::vector<double> yLocal;
-        FaultStats stats;
-        /** Batched apply: per-column fault tallies (yLocal then
-         *  holds a block.size x k column-major panel). */
         std::vector<FaultStats> colStats;
     };
 
     void drawProgrammingFaults(std::size_t block);
+
+    /** The one apply body behind apply() and applyBatch();
+     *  @p spanName names its trace span. */
+    void applyPanel(std::span<const double> X, std::span<double> Y,
+                    unsigned k, const char *spanName);
 
     FaultCampaign camp;
     FaultInjector injector;
@@ -139,9 +143,10 @@ class FaultyAccelOperator : public RecoverableOperator
     std::vector<ApplyScratch> scratch;
     FaultStats programStats;
     FaultStats applyStats;
-    /** apply() calls so far: transient-upset streams derive from
-     *  (campaign seed, apply sequence, block), so run-time faults are
-     *  reproducible for any thread count. */
+    /** Columns applied so far (a k-column batch counts k):
+     *  transient-upset streams derive from (campaign seed, apply
+     *  sequence, block), so run-time faults are reproducible for any
+     *  thread count. */
     std::uint64_t applySeq = 0;
     std::int32_t matRows = 0;
     std::int32_t matCols = 0;

@@ -1,7 +1,6 @@
 #include "service/prepare_cache.hh"
 
 #include "accel/cluster_operator.hh"
-#include "core/multi_accel.hh"
 #include "sparse/binio.hh"
 #include "util/hash128.hh"
 #include "util/logging.hh"
@@ -69,7 +68,7 @@ operatorKeyFrom(Digest128 matrixKey, const OperatorConfig &cfg)
     // deliberately excluded: they change cost estimates, not the
     // prepared operator's answers or placement.
     h.u64(static_cast<std::uint64_t>(cfg.backend));
-    h.u64(static_cast<std::uint64_t>(cfg.devices));
+    h.u64(2); // retired device-count slot: keeps keys byte-identical
     hashAccel(h, cfg.accel);
     hashBlocking(h, cfg.blocking);
     hashCluster(h, cfg.cluster);
@@ -151,16 +150,6 @@ PreparedOperator::build()
         // Contribution tables dominate: rough per-nnz slice state.
         byteEstimate += mat.nnz() * 64;
         break;
-      case ServiceBackend::MultiAccel: {
-        MultiAcceleratorConfig mc;
-        mc.devices = cfg.devices;
-        mc.device = cfg.accel;
-        fleet = std::make_unique<MultiAccelerator>(mc);
-        fleet->prepare(mat);
-        oper = std::make_unique<MultiAcceleratorOperator>(*fleet);
-        byteEstimate += mat.nnz() * 12;
-        break;
-      }
     }
     if (!oper)
         panic("PreparedOperator: unknown backend");

@@ -2,15 +2,19 @@
  * @file
  * Bit-exactness lock for the batched multi-RHS execution path.
  *
- * The contract, at every layer: a batched call over a k-column panel
- * is bitwise identical to k invocations of the retained single-RHS
- * path in column order -- outputs, per-column side channels (peeled
- * indices), and statistics, including the floating-point energy
- * accumulations. The suites here drive Cluster::multiply(X),
- * HwCluster::multiply(X), Accelerator::spmm, the operator batch
- * applies (including an active FaultCampaign and a mid-batch
- * cancellation), and block-CG trajectory determinism across thread
- * counts.
+ * The contract, at every layer, is column independence: a batched
+ * call over a k-column panel is bitwise identical to k one-column
+ * calls in column order -- batch(k) == k x batch(1) -- covering
+ * outputs, per-column side channels (peeled indices), and
+ * statistics, including the floating-point energy accumulations.
+ * Cluster, HwCluster and the operator adapters run one kernel body,
+ * whose single-RHS entry points are k = 1 panels; their values are
+ * pinned to the straight-line references in test_kernel_bitexact.
+ * Accelerator::spmm is checked against its separate spmv path. The
+ * suites here drive Cluster::multiply(X), HwCluster::multiply(X),
+ * Accelerator::spmm, the operator batch applies (including an active
+ * FaultCampaign and a mid-batch cancellation), and block-CG
+ * trajectory determinism across thread counts.
  */
 
 #include <gtest/gtest.h>

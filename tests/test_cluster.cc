@@ -183,6 +183,39 @@ TEST(Cluster, MatchesExactDotWithWideExponents)
     }
 }
 
+TEST(Cluster, WideSkewGroupsMatchExactDot)
+{
+    // A large hybrid skew over full-width operands spreads one
+    // group's segment weights past what the kernel folds into a
+    // 128-bit partial, so some segments add straight into the
+    // accumulator. Columns of different widths share a panel.
+    Rng rng(109);
+    ClusterConfig cfg = smallConfig(16);
+    cfg.hybridSkew = 8;
+    Cluster cluster(cfg);
+    constexpr unsigned k = 3;
+    for (int trial = 0; trial < 10; ++trial) {
+        const MatrixBlock b = randomBlock(rng, 16, 0.6, 64);
+        cluster.program(b);
+        std::vector<double> X;
+        for (unsigned c = 0; c < k; ++c) {
+            const auto x = randomVector(rng, 16, c == 0 ? 64 : 8 * c);
+            X.insert(X.end(), x.begin(), x.end());
+        }
+        std::vector<double> Y(16 * k), ref;
+        cluster.multiply(std::span<const double>(X),
+                         std::span<double>(Y), k);
+        for (unsigned c = 0; c < k; ++c) {
+            const std::vector<double> x(X.begin() + 16 * c,
+                                        X.begin() + 16 * (c + 1));
+            oracle(b, x, RoundingMode::TowardNegInf, ref);
+            for (unsigned i = 0; i < 16; ++i)
+                EXPECT_EQ(Y[16 * c + i], ref[i])
+                    << "column " << c << " row " << i;
+        }
+    }
+}
+
 TEST(Cluster, EarlyTerminationDoesNotChangeResults)
 {
     Rng rng(109);

@@ -290,6 +290,59 @@ TEST(ParallelDeterminism, HwClusterAnalogMultiply)
               runs[2].stats.correctedWords);
     EXPECT_EQ(runs[0].stats.uncorrectableWords,
               runs[2].stats.uncorrectableWords);
+
+    // A k = 3 analog panel scans rows in parallel across all three
+    // columns; its noise draws must be bitwise those of three
+    // sequential one-column calls on the same caller stream.
+    constexpr unsigned k = 3;
+    std::vector<double> X(static_cast<std::size_t>(size) * k);
+    for (auto &v : X)
+        v = gen.uniform(-1.0, 1.0);
+    struct PanelOut
+    {
+        Out panel;
+        Out sequential;
+        std::uint64_t panelTail = 0; //!< caller stream after the call
+        std::uint64_t sequentialTail = 0;
+    };
+    const auto panels = perThreadCount([&] {
+        HwCluster hw(cfg);
+        hw.program(blk);
+        PanelOut out;
+        out.panel.y.assign(X.size(), 0.0);
+        Rng noise(7);
+        out.panel.stats = hw.multiply(
+            std::span<const double>(X), std::span<double>(out.panel.y),
+            k, &noise);
+        out.panelTail = noise.next();
+
+        out.sequential.y.assign(X.size(), 0.0);
+        Rng seqNoise(7);
+        for (unsigned c = 0; c < k; ++c) {
+            out.sequential.stats += hw.multiply(
+                std::span<const double>(X).subspan(c * size, size),
+                std::span<double>(out.sequential.y)
+                    .subspan(c * size, size),
+                &seqNoise);
+        }
+        out.sequentialTail = seqNoise.next();
+        return out;
+    });
+    for (const PanelOut &p : panels) {
+        EXPECT_EQ(p.panel.y, p.sequential.y);
+        EXPECT_EQ(p.panel.y, panels[0].panel.y);
+        EXPECT_EQ(p.panelTail, p.sequentialTail);
+        EXPECT_EQ(p.panel.stats.sliceWords,
+                  p.sequential.stats.sliceWords);
+        EXPECT_EQ(p.panel.stats.cleanWords,
+                  p.sequential.stats.cleanWords);
+        EXPECT_EQ(p.panel.stats.correctedWords,
+                  p.sequential.stats.correctedWords);
+        EXPECT_EQ(p.panel.stats.uncorrectableWords,
+                  p.sequential.stats.uncorrectableWords);
+        EXPECT_EQ(p.panel.stats.cicInvertedColumns,
+                  p.sequential.stats.cicInvertedColumns);
+    }
 }
 
 TEST(ParallelDeterminism, FaultyOperatorApplySequence)

@@ -1003,6 +1003,26 @@ TEST(ServiceCache, KeyIgnoresThreadCountAndSeesContent)
     EXPECT_FALSE(kc == k1);
     cl.cluster.targetMantissaBits += 1;
     EXPECT_FALSE(operatorKey(m, cl) == kc);
+
+    // Pinned key values: the byte stream operatorKey hashes must not
+    // drift, since keys also pick each operator's home shard.
+    OperatorConfig ac;
+    ac.backend = ServiceBackend::Accel;
+    const struct
+    {
+        OperatorConfig cfg;
+        CacheKey want;
+    } pinned[] = {
+        {{}, {0xbcd8ee16fecce9ebULL, 0xf52bbbb822473091ULL}},
+        {ac, {0xafa1a048ab582debULL, 0x009bb70487496a4dULL}},
+        {clusterBackend(),
+         {0x3b7cba74e8cda01aULL, 0x378669a82a9aaa56ULL}},
+    };
+    for (const auto &p : pinned) {
+        const CacheKey got = operatorKey(m, p.cfg);
+        EXPECT_EQ(got.hi, p.want.hi);
+        EXPECT_EQ(got.lo, p.want.lo);
+    }
 }
 
 TEST(ServiceCache, EvictionNeverFreesLiveEntries)
