@@ -160,6 +160,41 @@ bmClusterMultiply(benchmark::State &state)
 }
 BENCHMARK(bmClusterMultiply);
 
+/** Exact-value cluster MVM (Cluster::multiplyValues) on
+ *  bmClusterMultiply's block and data: items/s here vs there is the
+ *  fast path's multiple over the slice walk, same bits. */
+void
+bmClusterMultiplyValues(benchmark::State &state)
+{
+    Rng rng(6);
+    ClusterConfig cfg;
+    cfg.size = 64;
+    Cluster cluster(cfg);
+    MatrixBlock block;
+    block.size = 64;
+    for (std::int32_t r = 0; r < 64; ++r) {
+        for (std::int32_t c = 0; c < 64; ++c) {
+            if (rng.chance(0.2)) {
+                block.elems.push_back({r, c,
+                    rng.uniform(-2.0, 2.0)});
+            }
+        }
+    }
+    cluster.program(block);
+    std::vector<double> x(64), y(64);
+    for (auto &v : x)
+        v = rng.uniform(-1.0, 1.0);
+    for (auto _ : state) {
+        cluster.multiplyValues(std::span<const double>(x),
+                               std::span<double>(y), 1);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            block.elems.size());
+}
+BENCHMARK(bmClusterMultiplyValues);
+
 /** Batched multi-RHS cluster MVM over a k-column panel: the same
  *  block and data distribution as bmClusterMultiply, so items/s here
  *  vs there is the per-RHS amortization factor of the shared

@@ -57,10 +57,25 @@ ClusterArithmeticOperator::programClusters(const ClusterConfig &base)
         clusters.push_back(std::make_unique<Cluster>(cfg));
     }
     // Programming is embarrassingly parallel: one cluster per block,
-    // no shared state.
+    // no shared state. Sampled fidelity measures each block's stats
+    // here, once, on the all-ones vector (Accelerator::prepare's
+    // default sample), with padding columns 0 as applyPanel pads.
+    const bool sampled =
+        base.statsFidelity == StatsFidelity::Sampled;
     scratch.resize(plan.blocks.size());
+    sampledStats.assign(sampled ? plan.blocks.size() : 0, {});
     parallelFor(plan.blocks.size(), [&](std::size_t bi) {
-        clusters[bi]->program(plan.blocks[bi]);
+        const MatrixBlock &block = plan.blocks[bi];
+        clusters[bi]->program(block);
+        if (!sampled)
+            return;
+        std::vector<double> ones(block.size, 0.0), y(block.size);
+        for (unsigned j = 0; j < block.size; ++j) {
+            if (block.colOrigin + static_cast<std::int64_t>(j) <
+                mat->cols())
+                ones[j] = 1.0;
+        }
+        sampledStats[bi] = clusters[bi]->multiply(ones, y);
     });
 }
 
@@ -150,10 +165,10 @@ ClusterArithmeticOperator::applyPanel(std::span<const double> X,
                             Y.subspan(c * nr, nr));
     }
 
-    // Fan the block MVMs across the pool: one batched cluster
-    // multiply per block over the whole panel, so the contribution
-    // tables, schedules, and gate transposes are shared across all k
-    // columns. Every block writes only its own scratch slot. The
+    // Fan the block MVMs across the pool: one panel call per block
+    // (under Full fidelity the contribution tables, schedules, and
+    // gate transposes are shared across all k columns). Every block
+    // writes only its own scratch slot. The
     // execution context is polled per block batch: a cancel mid-
     // apply abandons the remaining blocks before the reduction below
     // ever runs.
@@ -177,9 +192,13 @@ ClusterArithmeticOperator::applyPanel(std::span<const double> X,
         }
         sc.yLocal.assign(static_cast<std::size_t>(block.size) * k,
                          0.0);
-        clusters[bi]->multiply(std::span<const double>(sc.xLocal),
-                               std::span<double>(sc.yLocal), k,
-                               &sc.peeledCols, &sc.colStats);
+        const std::span<const double> xs(sc.xLocal);
+        const std::span<double> ys(sc.yLocal);
+        if (sampledStats.empty())
+            clusters[bi]->multiply(xs, ys, k, &sc.peeledCols,
+                                   &sc.colStats);
+        else
+            clusters[bi]->multiplyValues(xs, ys, k, &sc.peeledCols);
         },
         1, exec);
 
@@ -193,7 +212,14 @@ ClusterArithmeticOperator::applyPanel(std::span<const double> X,
         for (std::size_t bi = 0; bi < plan.blocks.size(); ++bi) {
             const MatrixBlock &block = plan.blocks[bi];
             BlockScratch &sc = scratch[bi];
-            reduceBlock(block, sc.colStats[c],
+            ClusterStats s;
+            if (sampledStats.empty()) {
+                s = sc.colStats[c];
+            } else {
+                s = sampledStats[bi];
+                s.peeledVectorElements = sc.peeledCols[c].size();
+            }
+            reduceBlock(block, s,
                         sc.yLocal.data() +
                             static_cast<std::size_t>(c) * block.size,
                         sc.peeledCols[c], sc.peeledMask, xc, yc);

@@ -11,8 +11,14 @@
  * Krylov solvers demonstrates the paper's Section VII-C claim that
  * "the solvers running on the proposed accelerator converge in the
  * same number of iterations as they do when running on the GPU."
- * It is bit-level and therefore orders of magnitude slower than
- * CsrOperator; intended for verification and small systems.
+ *
+ * ClusterConfig::statsFidelity picks the kernel. Under Sampled (the
+ * default) blocks run Cluster::multiplyValues, one wide-integer dot
+ * per row, and every column is charged its block's stats sample;
+ * under Full they run the slice-level Cluster::multiply, whose
+ * per-column stats follow each vector's own termination trajectory
+ * at a cost of ~100x the value kernel. The values are the same bits
+ * in both modes.
  */
 
 #ifndef MSC_ACCEL_CLUSTER_OPERATOR_HH
@@ -63,10 +69,9 @@ class ClusterArithmeticOperator : public LinearOperator
                std::span<double> y) override;
 
     /**
-     * Batched multi-RHS apply: each block's cluster runs one batched
-     * multiply over the whole panel (tables and schedules amortized
-     * across columns), and the reduction folds per (column, block),
-     * so outputs AND the running aggregate stats are bitwise
+     * Batched multi-RHS apply: each block's cluster runs one panel
+     * call over all k columns, and the reduction folds per (column,
+     * block), so outputs AND the running aggregate stats are bitwise
      * identical to k one-column applies.
      */
     void applyBatch(std::span<const double> X, std::span<double> Y,
@@ -81,7 +86,9 @@ class ClusterArithmeticOperator : public LinearOperator
 
     const BlockPlan &blockPlan() const { return plan; }
 
-    /** Aggregate cluster statistics since construction. */
+    /** Aggregate cluster statistics since construction. Under
+     *  StatsFidelity::Sampled every column adds its block's sample,
+     *  with peeledVectorElements counting the column's real peel. */
     const ClusterStats &totals() const { return aggregate; }
 
     /** A blocking configuration suited to small test systems. */
@@ -110,7 +117,7 @@ class ClusterArithmeticOperator : public LinearOperator
         std::vector<double> xLocal; //!< block.size x k panel
         std::vector<double> yLocal; //!< block.size x k panel
         std::vector<std::uint8_t> peeledMask; //!< per block column
-        /** Per-column peel lists and stats. */
+        /** Per-column peel lists and (Full fidelity) stats. */
         std::vector<std::vector<std::int32_t>> peeledCols;
         std::vector<ClusterStats> colStats;
     };
@@ -126,6 +133,9 @@ class ClusterArithmeticOperator : public LinearOperator
     const Csr *mat;
     BlockPlan plan;
     std::vector<std::unique_ptr<Cluster>> clusters;
+    /** Sampled fidelity: per block, the stats of one slice-level
+     *  multiply on the all-ones vector (empty under Full). */
+    std::vector<ClusterStats> sampledStats;
     ClusterStats aggregate;
     std::vector<BlockScratch> scratch;
     const ExecContext *exec = nullptr; //!< optional, not owned

@@ -64,6 +64,13 @@ iterationSeed(std::uint64_t seed, const std::string &module,
     return splitmix(seed ^ splitmix(h ^ (iter * 0x9e3779b97f4a7c15ULL)));
 }
 
+bool
+bitEqual(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+           std::bit_cast<std::uint64_t>(b);
+}
+
 std::uint64_t
 ulpDistance(double a, double b)
 {

@@ -173,6 +173,9 @@ std::uint64_t iterationSeed(std::uint64_t seed,
  *  and both are nonzero). */
 std::uint64_t ulpDistance(double a, double b);
 
+/** Bitwise double equality (0.0 vs -0.0 must not slip through). */
+bool bitEqual(double a, double b);
+
 } // namespace msc::check
 
 #endif // MSC_CHECK_CHECK_HH

@@ -9,6 +9,9 @@
  * and early termination toggled freely. exactDot() accumulates in a
  * wide integer through a completely different code path
  * (fp/float64.cc), so it serves as the independent oracle here.
+ * Cluster::multiplyValues, the exact-value kernel, is checked in the
+ * same corners against both: bitwise against the slice walk, by
+ * value against exactDot.
  */
 
 #include <cmath>
@@ -141,6 +144,18 @@ iterate(Context &ctx)
                    " vs oracle ", ref[i], " (mode ",
                    static_cast<int>(cfg.rounding), ", target ",
                    cfg.targetMantissaBits, ")");
+    }
+    std::vector<double> yValues(size, -1.0);
+    std::vector<std::vector<std::int32_t>> peeledValues;
+    cluster.multiplyValues(x, yValues, 1, &peeledValues);
+    ctx.expect(peeledValues.size() == 1 && peeledValues[0].empty(),
+               "value kernel peeled with spread ", spread);
+    for (unsigned i = 0; i < size; ++i) {
+        ctx.expect(bitEqual(yValues[i], y[i]) && yValues[i] == ref[i],
+                   "cluster values row ", i, ": ", yValues[i],
+                   " vs slice walk ", y[i], " vs oracle ", ref[i],
+                   " (mode ", static_cast<int>(cfg.rounding),
+                   ", target ", cfg.targetMantissaBits, ")");
     }
 
     // --- hardware-faithful cluster (bit-slice crossbars) ---------

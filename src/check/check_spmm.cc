@@ -13,11 +13,12 @@
  * The one-column results are themselves pinned to exactDot by the
  * cluster/accel modules, so this module only needs the
  * self-differential, swept across schedule x rounding x AN x early-
- * termination corners and random panel widths.
+ * termination corners and random panel widths. The same panels also
+ * pin Cluster::multiplyValues (the exact-value kernel) bitwise to
+ * the slice-level batch: values and peel lists.
  */
 
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -65,13 +66,6 @@ randomVector(Rng &rng, unsigned size, int expSpread)
             (rng.chance(0.5) ? -1.0 : 1.0);
     }
     return x;
-}
-
-/** Bitwise double equality (0.0 vs -0.0 must not slip through). */
-bool
-bitEqual(double a, double b)
-{
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 RoundingMode
@@ -182,6 +176,21 @@ checkClusterBatch(Context &ctx, Rng &rng)
         ctx.expect(peelRef[c] == peelBatch[c],
                    "peel list diverges at column ", c);
     }
+
+    std::vector<double> yValues(size * k, -1.0);
+    std::vector<std::vector<std::int32_t>> peelValues;
+    cluster.multiplyValues(std::span<const double>(X),
+                           std::span<double>(yValues), k,
+                           &peelValues);
+    for (std::size_t i = 0; i < yRef.size(); ++i) {
+        if (!ctx.expect(bitEqual(yBatch[i], yValues[i]),
+                        "cluster values k=", k, " elem ", i,
+                        ": slice walk ", yBatch[i], " vs values ",
+                        yValues[i]))
+            break;
+    }
+    ctx.expect(peelValues == peelBatch,
+               "value kernel peel lists diverge");
 }
 
 /** Batched HwCluster::multiply vs k singles (AN x CIC corners). */

@@ -93,6 +93,8 @@ Cluster::program(const MatrixBlock &block)
         rowPtr[i + 1] += rowPtr[i];
     elemCol.assign(nnz, 0);
     elemStored.assign(nnz, U256{});
+    elemMag.assign(nnz, U128{});
+    elemNeg.assign(nnz, 0);
     rowSumF.assign(blockSize, {});
     std::vector<std::uint32_t> cursor(rowPtr.begin(),
                                       rowPtr.end() - 1);
@@ -107,6 +109,8 @@ Cluster::program(const MatrixBlock &block)
         const std::uint32_t at = cursor[row]++;
         elemCol[at] = t.col;
         elemStored[at] = stored;
+        elemMag[at] = aligned.mag[e];
+        elemNeg[at] = aligned.neg[e];
         rowSumF[row].add(aligned.neg[e] != 0,
                          U256::from(aligned.mag[e]));
     }
@@ -372,6 +376,61 @@ Cluster::peelVector(std::span<const double> x,
     }
 }
 
+void
+Cluster::checkPanel(std::span<const double> X, std::span<double> Y,
+                    unsigned k) const
+{
+    if (!isProgrammed)
+        fatal("Cluster::multiply: no block programmed");
+    if (k == 0)
+        fatal("Cluster::multiply: batch needs at least one column");
+    const std::size_t panel =
+        static_cast<std::size_t>(blockSize) * k;
+    if (X.size() != panel || Y.size() != panel)
+        fatal("Cluster::multiply: panel size mismatch");
+}
+
+void
+Cluster::multiplyValues(std::span<const double> X, std::span<double> Y,
+                        unsigned k,
+                        std::vector<std::vector<std::int32_t>> *peeled)
+{
+    checkPanel(X, Y, k);
+    if (peeled)
+        peeled->resize(k);
+    maskedBatch.resize(blockSize);
+    const std::span<double> masked(maskedBatch.data(), blockSize);
+    ClusterStats peelCount; // the value kernel reports no stats
+    for (unsigned c = 0; c < k; ++c) {
+        const std::size_t off = static_cast<std::size_t>(c) * blockSize;
+        peelVector(X.subspan(off, blockSize), masked, peelCount,
+                   peeled ? &(*peeled)[c] : nullptr);
+        const AlignedSet vx = alignValues(masked);
+        const int scale = blockScale + vx.scale;
+        const std::span<double> yc = Y.subspan(off, blockSize);
+        for (unsigned i = 0; i < blockSize; ++i) {
+            // Block alignment puts every product at the common scale
+            // 2^scale: each term is below 2^(117 + 117) and a row has
+            // at most 512 of them, so neither sum can pass 2^243.
+            U256 pos, neg;
+            for (std::uint32_t e = rowPtr[i]; e < rowPtr[i + 1]; ++e) {
+                const auto j = static_cast<std::size_t>(elemCol[e]);
+                if (vx.mag[j].isZero())
+                    continue;
+                const U256 p = elemMag[e].mulWide(vx.mag[j]);
+                if (elemNeg[e] != vx.neg[j])
+                    neg += p;
+                else
+                    pos += p;
+            }
+            const bool sign = neg > pos;
+            yc[i] = fixedToDouble(sign, sign ? neg - pos : pos - neg,
+                                  scale, cfg.rounding,
+                                  cfg.targetMantissaBits);
+        }
+    }
+}
+
 ClusterStats
 Cluster::multiply(std::span<const double> x, std::span<double> y,
                   std::vector<std::int32_t> *peeled)
@@ -390,14 +449,9 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
                   std::vector<std::vector<std::int32_t>> *peeled,
                   std::vector<ClusterStats> *colStatsOut)
 {
-    if (!isProgrammed)
-        fatal("Cluster::multiply: no block programmed");
-    if (k == 0)
-        fatal("Cluster::multiply: batch needs at least one column");
+    checkPanel(X, Y, k);
     const std::size_t panel =
         static_cast<std::size_t>(blockSize) * k;
-    if (X.size() != panel || Y.size() != panel)
-        fatal("Cluster::multiply: panel size mismatch");
     if (peeled)
         peeled->resize(k);
 

@@ -17,7 +17,8 @@
  * With no device noise, multiply() returns exactly
  * round(sum_j A_ij x_j) per block row, with the rounding applied once
  * to the infinitely-precise sum -- verified against exactDot() by the
- * property tests.
+ * property tests. multiplyValues() computes that same number directly
+ * from the aligned operands, without the slice walk or its stats.
  *
  * Termination soundness note: the paper describes carry absorption
  * for non-negative partial products (Figure 5). Because the running
@@ -45,6 +46,20 @@
 
 namespace msc {
 
+/**
+ * Where an operator over many clusters gets its ClusterStats. The
+ * values are the same bits either way.
+ */
+enum class StatsFidelity : std::uint8_t
+{
+    /** Values on the exact-value kernel (Cluster::multiplyValues);
+     *  each block's stats are one slice-level multiply on the
+     *  all-ones vector, measured once and charged per column. */
+    Sampled,
+    /** Values and stats from the slice-level kernel, per column. */
+    Full,
+};
+
 /** Static configuration of a cluster. */
 struct ClusterConfig
 {
@@ -61,6 +76,9 @@ struct ClusterConfig
     std::uint64_t anConstant = 269;
     bool cic = true;
     bool adcHeadstart = true;
+    /** Read by ClusterArithmeticOperator; a lone Cluster offers
+     *  both kernels. */
+    StatsFidelity statsFidelity = StatsFidelity::Sampled;
     XbarModelParams xbar;
 };
 
@@ -116,12 +134,13 @@ ClusterStats &operator+=(ClusterStats &into, const ClusterStats &s);
 /**
  * Functional cluster. program() maps a block; multiply() performs
  * the block MVM at the (matrix slice x vector slice) group
- * granularity the hardware uses.
+ * granularity the hardware uses; multiplyValues() returns the same
+ * values without stats, and multiply() is its oracle.
  *
- * There is one kernel body: the k-column panel multiply. Columns are
- * bitwise independent -- multiply(X, Y, k) equals k one-column
- * panels in column order -- and the single-RHS overload is the k = 1
- * panel, unpacking the peeled-index list.
+ * There is one slice-level kernel body: the k-column panel multiply.
+ * Columns are bitwise independent -- multiply(X, Y, k) equals k
+ * one-column panels in column order -- and the single-RHS overload is
+ * the k = 1 panel, unpacking the peeled-index list.
  */
 class Cluster
 {
@@ -182,6 +201,20 @@ class Cluster
         std::span<const double> X, std::span<double> Y, unsigned k,
         std::vector<std::vector<std::int32_t>> *peeled = nullptr,
         std::vector<ClusterStats> *colStats = nullptr);
+
+    /**
+     * Exact-value panel multiply: Y and @p peeled bitwise equal to
+     * multiply(X, Y, k, peeled), without the slice walk and without
+     * stats. Per column it runs the same peel + align front end;
+     * per row it sums the signed products of the aligned magnitudes
+     * (matrix and vector operands of at most 117 bits each, at most
+     * 512 terms: below 2^243) in two 256-bit accumulators and
+     * rounds the difference once. An empty or exactly cancelling row
+     * yields +0.0, as the slice walk's does.
+     */
+    void multiplyValues(
+        std::span<const double> X, std::span<double> Y, unsigned k,
+        std::vector<std::vector<std::int32_t>> *peeled = nullptr);
 
   private:
     /** Signed accumulator in sign-magnitude form. */
@@ -260,6 +293,10 @@ class Cluster
                     std::span<double> masked, ClusterStats &stats,
                     std::vector<std::int32_t> *peeled);
 
+    /** Shared argument checks of the panel entry points. */
+    void checkPanel(std::span<const double> X, std::span<double> Y,
+                    unsigned k) const;
+
     ClusterConfig cfg;
     XbarModel xbarModel;
     AnCode an;
@@ -283,6 +320,10 @@ class Cluster
     std::vector<std::uint32_t> rowPtr;
     std::vector<std::int32_t> elemCol;
     std::vector<U256> elemStored; //!< biased (and AN-coded) operands
+    /** Aligned magnitude and sign per element, beside elemCol: the
+     *  operands of the exact-value kernel. */
+    std::vector<U128> elemMag;
+    std::vector<std::uint8_t> elemNeg;
     /** Signed row sums of aligned coefficients (for vector debias). */
     std::vector<SignedAcc> rowSumF;
     /** Per (slice b, block row i): stored ones count, for CIC and

@@ -2,9 +2,10 @@
  * @file
  * Fast functional solver operator with value-level fault injection.
  *
- * ClusterArithmeticOperator proves the arithmetic bit-exactly but is
- * orders of magnitude too slow for solver-scale fault campaigns.
- * FaultyAccelOperator keeps the same structure -- blocking
+ * ClusterArithmeticOperator proves the arithmetic bit-exactly but
+ * models no faults; its slice-level path is also far too slow for
+ * solver-scale fault campaigns. FaultyAccelOperator keeps the same
+ * structure -- blocking
  * preprocessor, one mapped unit per block, exact local-processor CSR
  * for the leftovers -- and injects the *surviving* (post-AN-
  * correction) manifestation of each fault mechanism directly on the

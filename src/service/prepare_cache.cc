@@ -1,5 +1,8 @@
 #include "service/prepare_cache.hh"
 
+#include <algorithm>
+#include <exception>
+
 #include "accel/cluster_operator.hh"
 #include "sparse/binio.hh"
 #include "util/hash128.hh"
@@ -36,6 +39,10 @@ hashCluster(Hash128 &h, const ClusterConfig &c)
     h.u64(c.anConstant);
     h.u64(c.cic);
     h.u64(c.adcHeadstart);
+    // Appended only off the default, so Sampled keys hash exactly
+    // as keys did before the field existed.
+    if (c.statsFidelity != StatsFidelity::Sampled)
+        h.u64(static_cast<std::uint64_t>(c.statsFidelity));
 }
 
 void
@@ -160,7 +167,7 @@ PrepareCache::acquire(const Csr &matrix, const OperatorConfig &cfg,
                       bool *hit, unsigned replica)
 {
     return acquireKeyed(
-        operatorKey(matrix, cfg), cfg, hit, replica,
+        operatorKey(matrix, cfg), replica, hit,
         [&](CacheKey key) {
             return std::make_shared<PreparedOperator>(matrix, cfg,
                                                       key);
@@ -175,8 +182,7 @@ PrepareCache::acquire(
     if (!artifact)
         panic("PrepareCache::acquire: null artifact");
     return acquireKeyed(
-        operatorKeyFrom(artifact->matrixKey(), cfg), cfg, hit,
-        replica,
+        operatorKeyFrom(artifact->matrixKey(), cfg), replica, hit,
         [&](CacheKey key) {
             return std::make_shared<PreparedOperator>(artifact, cfg,
                                                       key);
@@ -185,70 +191,72 @@ PrepareCache::acquire(
 
 std::shared_ptr<PreparedOperator>
 PrepareCache::acquireKeyed(
-    CacheKey key, const OperatorConfig &,
-    bool *hit, unsigned replica,
+    CacheKey key, unsigned replica, bool *hit,
     const std::function<std::shared_ptr<PreparedOperator>(CacheKey)>
         &build)
 {
+    const std::pair<CacheKey, unsigned> slot{key, replica};
+    const auto inFlight = [&] {
+        return std::find(building.begin(), building.end(), slot) !=
+               building.end();
+    };
+    std::unique_lock lock(mu);
     // A hit means THIS replica already exists; other replicas of
     // the key warm nothing for it (each owns its backend state).
-    auto lookup = [&]() -> std::shared_ptr<PreparedOperator> {
+    // A miss whose pair is already building waits for that build
+    // and looks again: a hit unless the build threw or the entry
+    // was evicted meanwhile, in which case this caller builds.
+    for (;;) {
         auto it = map.find(key);
-        if (it == map.end())
-            return nullptr;
-        Entry &e = it->second;
-        if (replica >= e.replicas.size() || !e.replicas[replica])
-            return nullptr;
-        lruOrder.splice(lruOrder.begin(), lruOrder, e.lruPos);
-        return e.replicas[replica];
-    };
-    {
-        std::lock_guard lock(mu);
-        if (auto found = lookup()) {
+        if (it != map.end() && replica < it->second.replicas.size() &&
+            it->second.replicas[replica]) {
+            Entry &e = it->second;
+            lruOrder.splice(lruOrder.begin(), lruOrder, e.lruPos);
             ++counters.hits;
             ctrHits.add();
             if (hit)
                 *hit = true;
-            return found;
+            return e.replicas[replica];
         }
+        if (!inFlight())
+            break;
+        buildDone.wait(lock, [&] { return !inFlight(); });
     }
-    // Miss: build outside the cache lock, under the build lock so
-    // concurrent same-(key, replica) misses prepare exactly once.
-    std::lock_guard buildLock(buildMu);
-    {
-        std::lock_guard lock(mu);
-        if (auto found = lookup()) {
-            // Another thread built it while we waited.
-            ++counters.hits;
-            ctrHits.add();
-            if (hit)
-                *hit = true;
-            return found;
-        }
+    building.push_back(slot);
+    lock.unlock();
+
+    // Build outside the cache lock; whatever happens, the pair
+    // leaves the in-flight list and its waiters wake.
+    std::shared_ptr<PreparedOperator> built;
+    std::exception_ptr failure;
+    try {
+        built = build(key);
+    } catch (...) {
+        failure = std::current_exception();
     }
-    auto built = build(key);
-    {
-        std::lock_guard lock(mu);
-        ++counters.misses;
-        ctrMisses.add();
-        auto it = map.find(key);
-        if (it == map.end()) {
-            lruOrder.push_front(key);
-            Entry e;
-            e.lruPos = lruOrder.begin();
-            it = map.emplace(key, std::move(e)).first;
-        } else {
-            lruOrder.splice(lruOrder.begin(), lruOrder,
-                            it->second.lruPos);
-        }
-        Entry &e = it->second;
-        if (e.replicas.size() <= replica)
-            e.replicas.resize(replica + 1);
-        e.replicas[replica] = built;
-        evictOverCap();
-        if (hit)
-            *hit = false;
+    lock.lock();
+    building.erase(std::find(building.begin(), building.end(), slot));
+    buildDone.notify_all();
+    if (failure)
+        std::rethrow_exception(failure);
+    ++counters.misses;
+    ctrMisses.add();
+    auto it = map.find(key);
+    if (it == map.end()) {
+        lruOrder.push_front(key);
+        Entry e;
+        e.lruPos = lruOrder.begin();
+        it = map.emplace(key, std::move(e)).first;
+    } else {
+        lruOrder.splice(lruOrder.begin(), lruOrder, it->second.lruPos);
     }
+    Entry &e = it->second;
+    if (e.replicas.size() <= replica)
+        e.replicas.resize(replica + 1);
+    e.replicas[replica] = built;
+    evictOverCap();
+    if (hit)
+        *hit = false;
     return built;
 }
 

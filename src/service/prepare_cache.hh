@@ -30,6 +30,7 @@
 #ifndef MSC_SERVICE_PREPARE_CACHE_HH
 #define MSC_SERVICE_PREPARE_CACHE_HH
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -53,8 +54,9 @@ enum class ServiceBackend
 {
     Csr,             //!< exact CSR reference arithmetic
     Accel,           //!< functional accelerator (fast model)
-    ClusterBitExact, //!< bit-level cluster arithmetic (slow, exact
-                     //!< hardware behavior; the coalescing win)
+    ClusterBitExact, //!< cluster arithmetic: the hardware's exact
+                     //!< values; per-column slice-level stats only
+                     //!< under StatsFidelity::Full
 };
 
 /** Placement/device configuration half of the cache key. */
@@ -164,10 +166,9 @@ class PreparedOperator
 
 /**
  * The keyed cache. acquire() is thread-safe; a miss prepares the
- * entry while holding a build lock, so concurrent same-key acquires
- * prepare exactly once (distinct-key builds serialize on the same
- * lock -- preparation is already a batch-grade operation and the
- * simplicity buys an obvious no-duplicate-build guarantee).
+ * entry outside the cache lock. Builds are deduplicated per (key,
+ * replica): concurrent misses on one pair wait for the single build
+ * in flight, while misses on distinct pairs build concurrently.
  */
 class PrepareCache
 {
@@ -206,6 +207,19 @@ class PrepareCache
             const OperatorConfig &cfg, bool *hit = nullptr,
             unsigned replica = 0);
 
+    /**
+     * The lookup / build-once / insert machinery behind both
+     * acquires, for callers that construct the entry themselves.
+     * @p build runs outside the cache lock, at most once at a time
+     * per (key, replica); other misses on that pair wait for it and
+     * then count as hits. If @p build throws, the exception reaches
+     * its caller and a waiter retries the build.
+     */
+    std::shared_ptr<PreparedOperator> acquireKeyed(
+        CacheKey key, unsigned replica, bool *hit,
+        const std::function<
+            std::shared_ptr<PreparedOperator>(CacheKey)> &build);
+
     struct Stats
     {
         std::uint64_t hits = 0;
@@ -221,17 +235,14 @@ class PrepareCache
     void clear();
 
   private:
-    /** Shared hit/build-once/insert machinery of both acquires. */
-    std::shared_ptr<PreparedOperator> acquireKeyed(
-        CacheKey key, const OperatorConfig &cfg, bool *hit,
-        unsigned replica,
-        const std::function<
-            std::shared_ptr<PreparedOperator>(CacheKey)> &build);
-
     void evictOverCap(); //!< callers hold mu
 
     mutable std::mutex mu;
-    std::mutex buildMu; //!< serializes misses (build once per key)
+    /** (key, replica) pairs whose build is in flight; an entry is
+     *  erased when its build lands or throws. Guarded by mu. */
+    std::vector<std::pair<CacheKey, unsigned>> building;
+    /** Signalled (under mu) whenever an in-flight build ends. */
+    std::condition_variable buildDone;
     std::size_t capBytes;
     struct Entry
     {

@@ -75,6 +75,14 @@ AdmissionScheduler::publishDepth(unsigned shard) const
     }
 }
 
+void
+AdmissionScheduler::record(Decision &&d)
+{
+    log.push_back(std::move(d));
+    if (log.size() > decisionLogCap)
+        log.pop_front();
+}
+
 bool
 AdmissionScheduler::tryAdmit(const QueueEntry &entry)
 {
@@ -90,7 +98,7 @@ AdmissionScheduler::tryAdmit(const QueueEntry &entry)
     if (queueFull || outOfTickets) {
         d.kind = DecisionKind::Reject;
         d.reason = SolveStatus::Overloaded;
-        log.push_back(std::move(d));
+        record(std::move(d));
         ctrRejected.add();
         return false;
     }
@@ -103,7 +111,7 @@ AdmissionScheduler::tryAdmit(const QueueEntry &entry)
     double &fin = lastFinish[entry.tenant];
     slot.startTag = std::max(virtualTime, fin);
     fin = slot.startTag + 1.0 / tenantWeight(entry.tenant);
-    log.push_back(std::move(d));
+    record(std::move(d));
     ++live[entry.tenant];
     const unsigned shard = shardOf(entry.key);
     queues[shard].push_back(std::move(slot));
@@ -206,7 +214,7 @@ AdmissionScheduler::nextBatch(unsigned shard)
     d.migrated = migrated;
     for (const QueueEntry &e : batch)
         d.batch.push_back(e.id);
-    log.push_back(std::move(d));
+    record(std::move(d));
     ++dispatchesPerShard[shard];
     if (migrated) {
         ++migrationCount;
@@ -230,7 +238,7 @@ AdmissionScheduler::requeuePreempted(const QueueEntry &entry)
     d.priority = entry.priority;
     d.shard = shardOf(entry.key);
     d.reason = SolveStatus::Preempted;
-    log.push_back(std::move(d));
+    record(std::move(d));
     // No tryAdmit: the request already holds a ticket and had a
     // queue slot before dispatch, so capacity cannot reject it.
     // Start tag = current virtual time: it resumes at fair-share
@@ -263,7 +271,7 @@ AdmissionScheduler::drop(std::uint64_t id, SolveStatus reason)
         d.priority = it->entry.priority;
         d.shard = static_cast<unsigned>(s);
         d.reason = reason;
-        log.push_back(std::move(d));
+        record(std::move(d));
         complete(it->entry.tenant);
         q.erase(it);
         ctrDropped.add();

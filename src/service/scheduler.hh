@@ -279,7 +279,13 @@ class AdmissionScheduler
     /** Batches stolen by an idle shard from another's queue. */
     std::uint64_t migrations() const { return migrationCount; }
 
-    const std::vector<Decision> &decisions() const { return log; }
+    /** Decisions kept in the log: the newest decisionLogCap, so a
+     *  long-running service holds a fixed window, not its history.
+     *  Decision::seq keeps counting across the whole run. */
+    static constexpr std::size_t decisionLogCap = 8192;
+
+    /** The newest (at most decisionLogCap) decisions, oldest first. */
+    const std::deque<Decision> &decisions() const { return log; }
     void clearDecisions() { log.clear(); }
 
     /** Canonical one-line-per-decision serialization of the log --
@@ -294,6 +300,9 @@ class AdmissionScheduler
         double startTag = 0.0;
     };
 
+    /** Append to the log, dropping the oldest past the cap. */
+    void record(Decision &&d);
+
     int ticketLimit(const std::string &tenant) const;
     double tenantWeight(const std::string &tenant) const;
     void publishDepth(unsigned shard) const;
@@ -306,7 +315,7 @@ class AdmissionScheduler
     /** SFQ virtual time / per-tenant last finish tag. */
     double virtualTime = 0.0;
     std::unordered_map<std::string, double> lastFinish;
-    std::vector<Decision> log;
+    std::deque<Decision> log;
     std::uint64_t nextSeq = 0;
     std::vector<std::uint64_t> dispatchesPerShard;
     std::uint64_t migrationCount = 0;

@@ -800,7 +800,8 @@ std::vector<Decision>
 SolverService::decisionLog() const
 {
     std::lock_guard lock(core->mu);
-    return core->sched.decisions();
+    const std::deque<Decision> &log = core->sched.decisions();
+    return {log.begin(), log.end()};
 }
 
 std::string

@@ -265,7 +265,8 @@ class SolverService
     std::size_t loadedMatrixCount() const;
     std::size_t loadedMatrixBytes() const;
     std::size_t queueDepth() const;
-    /** Snapshot of the scheduler's replayable decision log. */
+    /** Snapshot of the scheduler's replayable decision log: the
+     *  newest AdmissionScheduler::decisionLogCap decisions. */
     std::vector<Decision> decisionLog() const;
     /** Canonical serialization of the decision log (replays of one
      *  submission sequence produce byte-identical text). */

@@ -474,6 +474,19 @@ TEST(BatchAccel, SpmmDeterministicAcrossThreadCounts)
     EXPECT_TRUE(sameBits(y1, y8));
 }
 
+/** Both stats fidelities: every operator stats contract holds in
+ *  each, and the values are the same bits in both. */
+constexpr StatsFidelity bothFidelities[] = {StatsFidelity::Sampled,
+                                            StatsFidelity::Full};
+
+ClusterConfig
+withFidelity(StatsFidelity f)
+{
+    ClusterConfig cfg;
+    cfg.statsFidelity = f;
+    return cfg;
+}
+
 TEST(BatchOperator, ClusterOperatorBatchMatchesApplies)
 {
     setLogQuiet(true);
@@ -481,20 +494,32 @@ TEST(BatchOperator, ClusterOperatorBatchMatchesApplies)
     const auto n = static_cast<std::size_t>(m.rows());
     const unsigned k = 3;
     Rng rng(8302);
-    const auto X = panelOf(rng, n, k);
+    auto X = panelOf(rng, n, k);
+    X[n + 5] = 0x1.8p200; // column 1 peels: sampled stats count it
 
-    ClusterArithmeticOperator ref(m), bat(m);
-    std::vector<double> yRef(n * k, 0.0), yBatch(n * k, 0.0);
-    for (unsigned c = 0; c < k; ++c) {
-        ref.apply(std::span<const double>(X).subspan(c * n, n),
-                  std::span<double>(yRef).subspan(c * n, n));
+    std::vector<double> yFirst;
+    for (const StatsFidelity f : bothFidelities) {
+        SCOPED_TRACE(f == StatsFidelity::Sampled ? "sampled" : "full");
+        const ClusterConfig cfg = withFidelity(f);
+        const auto sizes = ClusterArithmeticOperator::smallSizes();
+        ClusterArithmeticOperator ref(m, sizes, cfg),
+            bat(m, sizes, cfg);
+        std::vector<double> yRef(n * k, 0.0), yBatch(n * k, 0.0);
+        for (unsigned c = 0; c < k; ++c) {
+            ref.apply(std::span<const double>(X).subspan(c * n, n),
+                      std::span<double>(yRef).subspan(c * n, n));
+        }
+        bat.applyBatch(std::span<const double>(X),
+                       std::span<double>(yBatch), k);
+        EXPECT_TRUE(sameBits(yRef, yBatch));
+        // The running aggregate -- floating-point energy/latency sums
+        // included -- folds in the same (column, block) order.
+        expectStatsEqual(ref.totals(), bat.totals());
+        EXPECT_GT(bat.totals().peeledVectorElements, 0u);
+        if (yFirst.empty())
+            yFirst = yBatch;
+        EXPECT_TRUE(sameBits(yFirst, yBatch));
     }
-    bat.applyBatch(std::span<const double>(X),
-                   std::span<double>(yBatch), k);
-    EXPECT_TRUE(sameBits(yRef, yBatch));
-    // The running aggregate -- floating-point energy/latency sums
-    // included -- folds in the same (column, block) order.
-    expectStatsEqual(ref.totals(), bat.totals());
 }
 
 TEST(BatchOperator, FaultyOperatorBatchReplaysStreams)
@@ -550,28 +575,34 @@ TEST(BatchOperator, MidBatchCancellationLeavesOperatorReusable)
     Rng rng(8502);
     const auto X = panelOf(rng, n, k);
 
-    ClusterArithmeticOperator ref(m), op(m);
-    std::vector<double> yRef(n * k, 0.0), y(n * k, 0.0);
-    for (unsigned c = 0; c < k; ++c) {
-        ref.apply(std::span<const double>(X).subspan(c * n, n),
-                  std::span<double>(yRef).subspan(c * n, n));
+    for (const StatsFidelity f : bothFidelities) {
+        SCOPED_TRACE(f == StatsFidelity::Sampled ? "sampled" : "full");
+        const ClusterConfig cfg = withFidelity(f);
+        const auto sizes = ClusterArithmeticOperator::smallSizes();
+        ClusterArithmeticOperator ref(m, sizes, cfg), op(m, sizes, cfg);
+        std::vector<double> yRef(n * k, 0.0), y(n * k, 0.0);
+        for (unsigned c = 0; c < k; ++c) {
+            ref.apply(std::span<const double>(X).subspan(c * n, n),
+                      std::span<double>(yRef).subspan(c * n, n));
+        }
+
+        ExecContext ctx;
+        ctx.token().cancel();
+        op.setExecContext(&ctx);
+        EXPECT_THROW(op.applyBatch(std::span<const double>(X),
+                                   std::span<double>(y), k),
+                     CancelledError);
+        // The abandoned batch never ran its reduction: no partial
+        // stats.
+        expectStatsEqual(op.totals(), ClusterStats{});
+
+        op.setExecContext(nullptr);
+        y.assign(n * k, 0.0);
+        op.applyBatch(std::span<const double>(X), std::span<double>(y),
+                      k);
+        EXPECT_TRUE(sameBits(yRef, y));
+        expectStatsEqual(ref.totals(), op.totals());
     }
-
-    ExecContext ctx;
-    ctx.token().cancel();
-    op.setExecContext(&ctx);
-    EXPECT_THROW(op.applyBatch(std::span<const double>(X),
-                               std::span<double>(y), k),
-                 CancelledError);
-    // The abandoned batch never ran its reduction: no partial stats.
-    expectStatsEqual(op.totals(), ClusterStats{});
-
-    op.setExecContext(nullptr);
-    y.assign(n * k, 0.0);
-    op.applyBatch(std::span<const double>(X), std::span<double>(y),
-                  k);
-    EXPECT_TRUE(sameBits(yRef, y));
-    expectStatsEqual(ref.totals(), op.totals());
 }
 
 /** Accelerator-backed panel operator: apply -> spmv, applyBatch ->

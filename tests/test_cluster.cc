@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "cluster/cluster.hh"
@@ -59,7 +61,8 @@ randomVector(Rng &rng, unsigned size, int expSpread,
 /** Dense row gather for the exactDot oracle. */
 void
 oracle(const MatrixBlock &b, const std::vector<double> &x,
-       RoundingMode mode, std::vector<double> &out)
+       RoundingMode mode, std::vector<double> &out,
+       unsigned mantissaBits = 53)
 {
     const unsigned n = b.size;
     out.assign(n, 0.0);
@@ -72,7 +75,7 @@ oracle(const MatrixBlock &b, const std::vector<double> &x,
     for (unsigned i = 0; i < n; ++i) {
         if (!rowsA[i].empty()) {
             out[i] = exactDot(rowsA[i].data(), rowsX[i].data(),
-                              rowsA[i].size(), mode);
+                              rowsA[i].size(), mode, mantissaBits);
         }
     }
 }
@@ -84,6 +87,17 @@ smallConfig(unsigned size)
     cfg.size = size;
     return cfg;
 }
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+           std::bit_cast<std::uint64_t>(b);
+}
+
+constexpr RoundingMode allModes[] = {
+    RoundingMode::TowardNegInf, RoundingMode::TowardPosInf,
+    RoundingMode::TowardZero, RoundingMode::NearestEven};
 
 TEST(Cluster, TinyBlockKnownValues)
 {
@@ -432,6 +446,100 @@ TEST(Cluster, CancellationHeavyRowsExact)
     cluster.multiply(x, y);
     EXPECT_EQ(y[0], 1.0);
     EXPECT_EQ(y[1], 0x1.0p-20);
+}
+
+TEST(Cluster, ValueKernelWorstCaseWidth)
+{
+    // The exact-value kernel's accumulator bound: 117-bit aligned
+    // operands on both sides (full 53-bit mantissas at both ends of
+    // the 64-exponent window) and full 512-term rows put a row sum
+    // just under 2^243. Rows: every product positive (the largest
+    // sum), random signs and ends, exact cancellation, and a
+    // cancellation that leaves one small residue.
+    constexpr unsigned n = 512;
+    const double lo = 0x1.fffffffffffffp0;
+    const double hi = std::ldexp(lo, 64);
+    std::vector<double> x(n);
+    for (unsigned j = 0; j < n; ++j)
+        x[j] = (j % 3 == 0 ? -1.0 : 1.0) * (j % 4 == 0 ? lo : hi);
+
+    Rng rng(3107);
+    MatrixBlock b;
+    b.size = n;
+    unsigned loSeen = 0, hiSeen = 0;
+    for (std::int32_t j = 0; j < static_cast<std::int32_t>(n); ++j) {
+        const double sx = x[j] < 0 ? -1.0 : 1.0;
+        b.elems.push_back({0, j, sx * hi});
+        b.elems.push_back({1, j,
+                           (rng.chance(0.5) ? -1.0 : 1.0) *
+                               (rng.chance(0.5) ? lo : hi)});
+        // Products alternate sign within each |x| class (128 lo and
+        // 384 hi entries, both even), so the row sums to exactly 0.
+        unsigned &seen = j % 4 == 0 ? loSeen : hiSeen;
+        const double cancel = (seen++ % 2 == 0 ? 1.0 : -1.0) * sx * hi;
+        b.elems.push_back({2, j, cancel});
+        b.elems.push_back({3, j, j == 0 ? cancel / hi * lo : cancel});
+    }
+
+    for (const RoundingMode mode : allModes) {
+        ClusterConfig cfg;
+        cfg.size = n;
+        cfg.rounding = mode;
+        Cluster cluster(cfg);
+        cluster.program(b);
+        EXPECT_EQ(cluster.programInfo().storedBits, 118u);
+        std::vector<double> slow(n), fast(n, -1.0), ref;
+        cluster.multiply(x, slow);
+        cluster.multiplyValues(x, fast, 1);
+        oracle(b, x, mode, ref);
+        for (unsigned i = 0; i < n; ++i) {
+            EXPECT_TRUE(sameBits(fast[i], slow[i]))
+                << "mode " << static_cast<int>(mode) << " row " << i
+                << ": " << fast[i] << " vs " << slow[i];
+            EXPECT_EQ(fast[i], ref[i]) << "row " << i;
+        }
+        // Row 0's aligned integer sum (bit 0 weighs 2^-104) is past
+        // 2^241: within two bits of the bound.
+        EXPECT_GT(fast[0], std::ldexp(1.0, 241 - 104));
+        EXPECT_TRUE(sameBits(fast[2], 0.0));
+        EXPECT_NE(fast[3], 0.0);
+    }
+}
+
+TEST(Cluster, ValueKernelExactCancellationIsPositiveZero)
+{
+    // An exactly cancelling row rounds to +0.0 in every rounding
+    // mode and at every precision target, as does an empty row --
+    // the same bits the slice walk produces.
+    MatrixBlock b;
+    b.size = 8;
+    b.elems = {{0, 0, 0x1.8p3}, {0, 1, -0x1.8p3},
+               {1, 2, 3.0}, {1, 3, -1.5},
+               {2, 0, 1.0}, {2, 4, 2.0}, {2, 5, -3.0},
+               {4, 0, -0x1.fffffffffffffp60}, {4, 1, 0x1.fffffffffffffp60},
+               {4, 6, 0.5}, {4, 7, 0.5}};
+    const std::vector<double> x{1.0, 1.0, 2.0, 4.0,
+                                1.0, 1.0, 1.0, -1.0};
+    for (const RoundingMode mode : allModes) {
+        for (const unsigned target : {53u, 24u, 12u}) {
+            ClusterConfig cfg = smallConfig(8);
+            cfg.rounding = mode;
+            cfg.targetMantissaBits = target;
+            Cluster cluster(cfg);
+            cluster.program(b);
+            std::vector<double> slow(8), fast(8, -1.0);
+            cluster.multiply(x, slow);
+            cluster.multiplyValues(x, fast, 1);
+            for (unsigned i = 0; i < 8; ++i) {
+                EXPECT_TRUE(sameBits(fast[i], slow[i]))
+                    << "mode " << static_cast<int>(mode) << " target "
+                    << target << " row " << i;
+                EXPECT_TRUE(sameBits(fast[i], 0.0))
+                    << "mode " << static_cast<int>(mode) << " target "
+                    << target << " row " << i << ": " << fast[i];
+            }
+        }
+    }
 }
 
 } // namespace

@@ -201,28 +201,41 @@ TEST(ParallelDeterminism, ClusterOperatorApply)
         std::vector<double> y;
         ClusterStats stats;
     };
-    const auto runs = perThreadCount([&] {
-        ClusterArithmeticOperator op(m);
-        Out out;
-        out.y.assign(n, 0.0);
-        // Two applies exercise the per-block scratch reuse.
-        op.apply(x, out.y);
-        op.apply(x, out.y);
-        out.stats = op.totals();
-        return out;
-    });
-    for (std::size_t r : {std::size_t{1}, std::size_t{2}}) {
-        EXPECT_EQ(runs[0].y, runs[r].y);
-        EXPECT_EQ(runs[0].stats.groupsExecuted,
-                  runs[r].stats.groupsExecuted);
-        EXPECT_EQ(runs[0].stats.adcConversions,
-                  runs[r].stats.adcConversions);
-        EXPECT_EQ(runs[0].stats.columnsEarlyTerminated,
-                  runs[r].stats.columnsEarlyTerminated);
-        EXPECT_EQ(runs[0].stats.peeledVectorElements,
-                  runs[r].stats.peeledVectorElements);
-        EXPECT_EQ(runs[0].stats.cycles, runs[r].stats.cycles);
-        EXPECT_EQ(runs[0].stats.energy, runs[r].stats.energy);
+    // Both stats fidelities: the values are the same bits in each,
+    // and each mode's stats are lane-count independent.
+    std::vector<double> yFirst;
+    for (const StatsFidelity f :
+         {StatsFidelity::Sampled, StatsFidelity::Full}) {
+        SCOPED_TRACE(f == StatsFidelity::Sampled ? "sampled" : "full");
+        ClusterConfig cfg;
+        cfg.statsFidelity = f;
+        const auto runs = perThreadCount([&] {
+            ClusterArithmeticOperator op(
+                m, ClusterArithmeticOperator::smallSizes(), cfg);
+            Out out;
+            out.y.assign(n, 0.0);
+            // Two applies exercise the per-block scratch reuse.
+            op.apply(x, out.y);
+            op.apply(x, out.y);
+            out.stats = op.totals();
+            return out;
+        });
+        for (std::size_t r : {std::size_t{1}, std::size_t{2}}) {
+            EXPECT_EQ(runs[0].y, runs[r].y);
+            EXPECT_EQ(runs[0].stats.groupsExecuted,
+                      runs[r].stats.groupsExecuted);
+            EXPECT_EQ(runs[0].stats.adcConversions,
+                      runs[r].stats.adcConversions);
+            EXPECT_EQ(runs[0].stats.columnsEarlyTerminated,
+                      runs[r].stats.columnsEarlyTerminated);
+            EXPECT_EQ(runs[0].stats.peeledVectorElements,
+                      runs[r].stats.peeledVectorElements);
+            EXPECT_EQ(runs[0].stats.cycles, runs[r].stats.cycles);
+            EXPECT_EQ(runs[0].stats.energy, runs[r].stats.energy);
+        }
+        if (yFirst.empty())
+            yFirst = runs[0].y;
+        EXPECT_EQ(yFirst, runs[0].y);
     }
 }
 

@@ -32,10 +32,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -744,6 +748,10 @@ TEST(Service, ReplayIdenticalDecisionLog)
 
     const auto logA = first.decisionLog();
     const auto logB = second.decisionLog();
+    // The whole run fits the log window: nothing was trimmed.
+    ASSERT_LT(logA.size(), AdmissionScheduler::decisionLogCap);
+    ASSERT_FALSE(logA.empty());
+    EXPECT_EQ(logA.front().seq, 0u);
     ASSERT_EQ(logA.size(), logB.size());
     for (std::size_t i = 0; i < logA.size(); ++i) {
         EXPECT_EQ(logA[i].kind, logB[i].kind) << "decision " << i;
@@ -1023,6 +1031,162 @@ TEST(ServiceCache, KeyIgnoresThreadCountAndSeesContent)
         EXPECT_EQ(got.hi, p.want.hi);
         EXPECT_EQ(got.lo, p.want.lo);
     }
+}
+
+TEST(ServiceCache, StatsFidelityIsPartOfTheKey)
+{
+    // Full fidelity prepares a different operator (no stats sample,
+    // slice-level applies), so it keys a distinct entry; the default
+    // Sampled mode keys exactly as the pinned values above.
+    const Csr m = spdMatrix(64, 303);
+    OperatorConfig full = clusterBackend();
+    full.cluster.statsFidelity = StatsFidelity::Full;
+    const CacheKey ks = operatorKey(m, clusterBackend());
+    const CacheKey kf = operatorKey(m, full);
+    EXPECT_FALSE(ks == kf);
+
+    PrepareCache cache;
+    bool hit = true;
+    auto a = cache.acquire(m, clusterBackend(), &hit);
+    EXPECT_FALSE(hit);
+    auto b = cache.acquire(m, full, &hit);
+    EXPECT_FALSE(hit);
+    EXPECT_NE(a.get(), b.get());
+    EXPECT_EQ(cache.stats().entries, 2u);
+}
+
+/** Blocks its callers until @p n have arrived (or a generous
+ *  timeout passes, so a regression fails instead of hanging);
+ *  returns whether all n met. */
+class Rendezvous
+{
+  public:
+    explicit Rendezvous(unsigned n) : want(n) {}
+
+    bool
+    arriveAndWait()
+    {
+        std::unique_lock lock(mu);
+        if (++arrived >= want)
+            cv.notify_all();
+        return cv.wait_for(lock, std::chrono::seconds(30),
+                           [&] { return arrived >= want; });
+    }
+
+  private:
+    std::mutex mu;
+    std::condition_variable cv;
+    unsigned arrived = 0;
+    unsigned want;
+};
+
+TEST(PrepareCache, DistinctKeysBuildConcurrently)
+{
+    // Each build waits until both builds are running: with misses
+    // serialized on one lock the second build could not start until
+    // the first returned, and the rendezvous would time out.
+    const Csr m = spdMatrix(32, 311);
+    OperatorConfig ca, cb;
+    cb.cluster.targetMantissaBits = 40; // a second key, same matrix
+    PrepareCache cache;
+    Rendezvous both(2);
+    std::atomic<int> met{0};
+    const auto acquireWith = [&](const OperatorConfig &cfg) {
+        return cache.acquireKeyed(
+            operatorKey(m, cfg), 0, nullptr, [&](CacheKey key) {
+                if (both.arriveAndWait())
+                    ++met;
+                return std::make_shared<PreparedOperator>(m, cfg, key);
+            });
+    };
+    std::shared_ptr<PreparedOperator> a, b;
+    std::thread ta([&] { a = acquireWith(ca); });
+    std::thread tb([&] { b = acquireWith(cb); });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(met.load(), 2);
+    ASSERT_TRUE(a && b);
+    EXPECT_NE(a.get(), b.get());
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().entries, 2u);
+}
+
+TEST(PrepareCache, ConcurrentSameKeyMissesBuildOnce)
+{
+    // One build is held open while more callers miss on the same
+    // (key, replica): they wait for it instead of building, and all
+    // receive the one entry. A second replica of the key is a
+    // separate pair and builds separately.
+    const Csr m = spdMatrix(32, 313);
+    const OperatorConfig cfg;
+    const CacheKey key = operatorKey(m, cfg);
+    PrepareCache cache;
+    constexpr unsigned callers = 6;
+    Rendezvous started(callers + 1);
+    Rendezvous inFlight(2);
+    std::atomic<int> builds{0};
+    const auto build = [&](CacheKey k) {
+        ++builds;
+        inFlight.arriveAndWait(); // until the test sees it running
+        return std::make_shared<PreparedOperator>(m, cfg, k);
+    };
+    std::vector<std::shared_ptr<PreparedOperator>> got(callers);
+    std::vector<int> hits(callers, -1);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < callers; ++t) {
+        threads.emplace_back([&, t] {
+            started.arriveAndWait();
+            bool hit = false;
+            got[t] = cache.acquireKeyed(key, 0, &hit, build);
+            hits[t] = hit ? 1 : 0;
+        });
+    }
+    started.arriveAndWait();
+    EXPECT_TRUE(inFlight.arriveAndWait());
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(builds.load(), 1);
+    int missCount = 0;
+    for (unsigned t = 0; t < callers; ++t) {
+        ASSERT_TRUE(got[t]);
+        EXPECT_EQ(got[t].get(), got[0].get());
+        missCount += hits[t] == 0;
+    }
+    EXPECT_EQ(missCount, 1);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().hits, callers - 1);
+
+    bool hit = true;
+    auto replica = cache.acquireKeyed(key, 1, &hit, [&](CacheKey k) {
+        ++builds;
+        return std::make_shared<PreparedOperator>(m, cfg, k);
+    });
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(builds.load(), 2);
+    EXPECT_NE(replica.get(), got[0].get());
+}
+
+TEST(PrepareCache, FailedBuildLeavesThePairBuildable)
+{
+    // A throwing build reaches its caller and leaves nothing in
+    // flight: the next miss on the pair builds instead of waiting.
+    const Csr m = spdMatrix(32, 317);
+    const OperatorConfig cfg;
+    const CacheKey key = operatorKey(m, cfg);
+    PrepareCache cache;
+    EXPECT_THROW(cache.acquireKeyed(key, 0, nullptr,
+                                    [](CacheKey) -> std::shared_ptr<
+                                                     PreparedOperator> {
+                                        throw std::runtime_error("no");
+                                    }),
+                 std::runtime_error);
+    bool hit = true;
+    auto built = cache.acquireKeyed(key, 0, &hit, [&](CacheKey k) {
+        return std::make_shared<PreparedOperator>(m, cfg, k);
+    });
+    EXPECT_FALSE(hit);
+    ASSERT_TRUE(built);
+    EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(ServiceCache, EvictionNeverFreesLiveEntries)
@@ -1540,6 +1704,43 @@ TEST(ServiceReplay, WeightedShardedLogReplaysByteIdentical)
     const std::string logB = second.decisionLogText();
     ASSERT_FALSE(logA.empty());
     EXPECT_EQ(logA, logB); // byte-identical replay
+    EXPECT_LT(first.decisionLog().size(),
+              AdmissionScheduler::decisionLogCap);
+}
+
+TEST(ServiceReplay, DecisionLogKeepsNewestWindow)
+{
+    // Past the cap the log drops its oldest decisions: it holds the
+    // newest decisionLogCap, in order, with contiguous sequence
+    // numbers that keep counting from the start of the run.
+    AdmissionScheduler::Config cfg;
+    cfg.queueCapacity = 4;
+    AdmissionScheduler sched(cfg);
+    const std::size_t cap = AdmissionScheduler::decisionLogCap;
+    const std::size_t total = cap + cap / 2 + 3;
+    for (std::size_t i = 0; i < total; ++i) {
+        QueueEntry e;
+        e.id = i;
+        e.tenant = "t";
+        sched.tryAdmit(e); // admits 4, then rejects: queue full
+    }
+    const auto &log = sched.decisions();
+    ASSERT_EQ(log.size(), cap);
+    EXPECT_EQ(log.front().seq, total - cap);
+    EXPECT_EQ(log.back().seq, total - 1);
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        ASSERT_EQ(log[i].seq, total - cap + i) << "entry " << i;
+        ASSERT_EQ(log[i].requestId, log[i].seq);
+        ASSERT_EQ(log[i].kind, DecisionKind::Reject);
+    }
+    // The next decision continues the global sequence.
+    QueueEntry e;
+    e.id = total;
+    e.tenant = "t";
+    sched.tryAdmit(e);
+    EXPECT_EQ(log.size(), cap);
+    EXPECT_EQ(log.back().seq, total);
+    EXPECT_EQ(log.front().seq, total - cap + 1);
 }
 
 TEST(ServiceShard, RoutesByKeyAndMigratesBacklog)
