@@ -16,14 +16,24 @@
  *    same products in the same order as A.spmvTranspose(w), hence
  *    bitwise equality; and the bilinear identity w^T(Ax) = (A^T w)^T x
  *    holds within sequential-summation error. A skew-symmetric matrix
- *    additionally satisfies spmvTranspose(x) == -spmv(x) exactly.
+ *    additionally satisfies spmvTranspose(x) == -spmv(x) exactly;
+ *  - resumable CG: a CG or Jacobi-PCG solve parked at a random
+ *    iteration boundary and resumed equals the whole solve bitwise
+ *    (x, iterations, residual, every tally), and each column of a
+ *    runCg() panel equals its solo conjugateGradient().
+ *
+ * The resumable-CG checks draw from a fork of the iteration's
+ * generator, so the other checks see the inputs they always saw.
  */
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "check/check.hh"
+#include "runtime/exec_context.hh"
+#include "solver/precond.hh"
 #include "solver/solver.hh"
 #include "sparse/gen.hh"
 
@@ -296,9 +306,128 @@ checkTranspose(Context &ctx)
     }
 }
 
+/** Every field of two solves and their iterates, bitwise. */
+void
+expectSameSolve(Context &ctx, const char *name, const SolverResult &got,
+                const SolverResult &want, std::span<const double> x,
+                std::span<const double> xRef)
+{
+    ctx.expect(got.status == want.status, name, ": status ",
+               toString(got.status), " vs ", toString(want.status));
+    ctx.expect(got.converged == want.converged, name,
+               ": convergence differs");
+    ctx.expect(got.iterations == want.iterations, name,
+               ": iterations ", got.iterations, " vs ",
+               want.iterations);
+    ctx.expect(bitEqual(got.relResidual, want.relResidual), name,
+               ": relResidual ", got.relResidual, " vs ",
+               want.relResidual);
+    ctx.expect(got.spmvCalls == want.spmvCalls &&
+                   got.dotCalls == want.dotCalls &&
+                   got.axpyCalls == want.axpyCalls &&
+                   got.precondApplies == want.precondApplies,
+               name, ": kernel tallies differ");
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        if (!ctx.expect(bitEqual(x[i], xRef[i]), name,
+                        ": x not bitwise at ", i, ": ", x[i], " vs ",
+                        xRef[i]))
+            break;
+    }
+}
+
+/** CG (or Jacobi PCG) parked at a random iteration boundary and
+ *  resumed is the whole solve. */
+void
+checkSplitSolve(Context &ctx, Rng &rng, bool jacobi)
+{
+    const auto n = static_cast<std::int32_t>(32 + rng.below(33));
+    const Csr a = spdMatrix(rng, n);
+    const auto b = randomRhs(rng, static_cast<std::size_t>(n));
+    const JacobiPreconditioner m(a);
+    const Preconditioner *pre = jacobi ? &m : nullptr;
+    const char *name = jacobi ? "split pcg" : "split cg";
+
+    CsrOperator op(a);
+    std::vector<double> xRef(b.size(), 0.0);
+    CgState whole(b, xRef, {}, pre);
+    const SolverResult ref = runCg(op, whole);
+
+    // Poll j + 2 is the loop head of iteration j (poll 1 is the
+    // initial one); at j = iterations the solve ends before it.
+    const auto j = static_cast<std::uint64_t>(
+        rng.below(static_cast<std::uint64_t>(ref.iterations) + 1));
+    ExecContext exec;
+    exec.yieldAfterChecks(j + 2);
+    SolverConfig cfg;
+    cfg.exec = &exec;
+    std::vector<double> x(b.size(), 0.0);
+    CgState split(b, x, cfg, pre);
+    runCg(op, split);
+    if (!split.done()) {
+        ctx.expect(split.result().iterations == static_cast<int>(j),
+                   name, ": parked at ", split.result().iterations,
+                   " instead of ", j);
+        exec.clearYield();
+        runCg(op, split);
+    }
+    ctx.expect(split.done(), name, ": resumed solve did not finish");
+    expectSameSolve(ctx, name, split.result(), ref, x, xRef);
+}
+
+/** Each column of a runCg() panel is its solo conjugateGradient(). */
+void
+checkPanelColumns(Context &ctx, Rng &rng)
+{
+    const auto n = static_cast<std::int32_t>(32 + rng.below(33));
+    const auto un = static_cast<std::size_t>(n);
+    const Csr a = spdMatrix(rng, n);
+    const auto k = static_cast<unsigned>(2 + rng.below(4));
+
+    std::vector<std::vector<double>> bs, xs;
+    std::vector<SolverConfig> cfgs(k);
+    for (unsigned c = 0; c < k; ++c) {
+        bs.push_back(randomRhs(rng, un));
+        xs.emplace_back(un, 0.0);
+        // Columns leave the panel at different iterations.
+        cfgs[c].tolerance = rng.chance(0.5) ? 1e-10 : 1e-4;
+        cfgs[c].maxIterations = static_cast<int>(1 + rng.below(60));
+    }
+    std::vector<std::unique_ptr<CgState>> states;
+    std::vector<CgState *> panel;
+    for (unsigned c = 0; c < k; ++c) {
+        states.push_back(
+            std::make_unique<CgState>(bs[c], xs[c], cfgs[c]));
+        panel.push_back(states.back().get());
+    }
+    CsrOperator op(a);
+    runCg(op, panel);
+
+    for (unsigned c = 0; c < k; ++c) {
+        std::vector<double> xRef(un, 0.0);
+        const SolverResult solo =
+            conjugateGradient(op, bs[c], xRef, cfgs[c]);
+        expectSameSolve(ctx, "panel column", states[c]->result(),
+                        solo, xs[c], xRef);
+    }
+}
+
 void
 iterate(Context &ctx)
 {
+    Rng fork = ctx.rng();
+    fork = Rng(fork.next() ^ 0x63675f7374617465ULL);
+    switch (fork.below(3)) {
+      case 0:
+        checkSplitSolve(ctx, fork, /*jacobi=*/false);
+        break;
+      case 1:
+        checkSplitSolve(ctx, fork, /*jacobi=*/true);
+        break;
+      default:
+        checkPanelColumns(ctx, fork);
+        break;
+    }
+
     switch (ctx.rng().below(4)) {
       case 0:
         checkScaling(ctx, /*useGmres=*/false);

@@ -69,11 +69,11 @@ enum class SolveStatus
     Failed,           //!< unrecoverable execution failure surfaced
                       //!< as a structured terminal status (service
                       //!< runtime; never thrown past the API)
-    Preempted,        //!< cooperative yield at a checkpoint boundary:
-                      //!< the solve saved a resumable checkpoint and
-                      //!< stepped aside (service-internal; the
-                      //!< service resumes it, callers never see it
-                      //!< as a terminal status)
+    Preempted,        //!< cooperative yield at an iteration
+                      //!< boundary: the solve parked its resumable
+                      //!< state and stepped aside (service-internal;
+                      //!< the service resumes it, callers never see
+                      //!< it as a terminal status)
 };
 
 /** Stable lowercase name (logs, JSON reports, tests). */
@@ -251,14 +251,14 @@ class ExecContext
 
     /**
      * Cooperative preemption surface. A yield request asks the
-     * running solve to stop at its next checkpoint boundary, save a
-     * resumable checkpoint (SolverConfig::checkpoint), and return
-     * SolveStatus::Preempted -- unlike cancellation it never
-     * discards work and the resumed recurrence is bitwise identical
-     * to an uninterrupted run. Solvers only act on it when a
-     * checkpoint sink is attached; otherwise the flag is ignored.
-     * The dispatcher clears the flag (clearYield) before each
-     * dispatch of the request.
+     * running solve to stop at its next iteration boundary, keep its
+     * resumable state, and return SolveStatus::Preempted -- unlike
+     * cancellation it never discards work and the resumed
+     * recurrence is bitwise identical to an uninterrupted run. Only
+     * a solo CG solve (runCg() over one CgState, solver/solver.hh)
+     * acts on it; the other solvers and coalesced CG panels ignore
+     * the flag. The dispatcher clears the flag (clearYield) before
+     * each dispatch of the request.
      */
     void
     requestYield()

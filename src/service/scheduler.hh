@@ -73,7 +73,7 @@ struct QueueEntry
     std::uint64_t id = 0;
     std::string tenant;
     int priority = 0;        //!< higher dispatches first
-    bool coalescable = false; //!< CG-kind: may join a lockstep panel
+    bool coalescable = false; //!< CG-kind: may join a coalesced panel
     CacheKey key;            //!< prepare-cache key (coalesce match)
     /** Relative deadline at submission in nanoseconds; 0 = none
      *  (sorts last). The EDF key inside a priority band. */
@@ -86,7 +86,7 @@ enum class DecisionKind
     Reject,   //!< Overloaded: queue full or tenant out of tickets
     Dispatch, //!< entry (or coalesced batch) handed to a shard
     Drop,     //!< reaped from the queue (cancel / deadline)
-    Preempt,  //!< yielded at a checkpoint and re-queued (keeps its
+    Preempt,  //!< yielded mid-solve and re-queued (keeps its
               //!< ticket; bypasses the capacity bound)
 };
 
@@ -198,7 +198,7 @@ class AdmissionScheduler
 
     /**
      * Re-queue a dispatched request that yielded at a solver
-     * checkpoint. Keeps the ticket it already holds and bypasses
+     * iteration boundary. Keeps the ticket it already holds and bypasses
      * the capacity bound (it had a slot before the preemption), so
      * it can never be rejected. Re-enters its home shard's queue
      * with a fresh start tag at the current virtual time -- the

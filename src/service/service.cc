@@ -5,7 +5,6 @@
 #include <list>
 #include <new>
 
-#include "solver/block.hh"
 #include "sparse/binio.hh"
 #include "util/logging.hh"
 #include "util/telemetry.hh"
@@ -35,10 +34,12 @@ struct PendingRequest
     SolveRequest req;
     ExecContext ctx;
     CacheKey key;
-    /** CG preemption state: valid between a checkpoint yield and
-     *  the resuming dispatch. Touched only by the thread executing
-     *  the request (one dispatch at a time). */
-    SolverCheckpoint ckpt;
+    /** CG recurrence and its iterate, from the first dispatch until
+     *  the solve is done: a preempted request parks here and its
+     *  next dispatch resumes it in place. Touched only by the thread
+     *  executing the request (one dispatch at a time). */
+    std::unique_ptr<CgState> cg;
+    std::vector<double> x;
     unsigned preemptions = 0;
     /** File-resolved system (matrixFile submissions): pins the
      *  parsed matrix or artifact mapping while the request lives;
@@ -95,8 +96,8 @@ struct ServiceCore
     std::unordered_map<std::uint64_t,
                        std::shared_ptr<PendingRequest>>
         pendings; //!< queued + running
-    /** Per shard: the singleton CG solve it is executing, when that
-     *  solve honors checkpoints (the preempt trigger's victims).
+    /** Per shard: the singleton CG solve it is executing, the one
+     *  kind of solve that can yield (the preempt trigger's victims).
      *  Guarded by mu; null when the shard is idle or running
      *  non-preemptible work. */
     std::vector<std::shared_ptr<PendingRequest>> runningPreemptible;
@@ -271,75 +272,72 @@ executeBatch(
     std::string error;
     try {
         // Each shard solves on its own prepared replica, so shards
-        // never serialize on one entry's exec mutex.
-        entry = (head.loaded && head.loaded->artifact)
-                    ? core.cache.acquire(head.loaded->artifact,
-                                         head.req.op, &cacheHit,
-                                         shard)
-                    : core.cache.acquire(*head.req.matrix,
-                                         head.req.op, &cacheHit,
-                                         shard);
+        // never serialize on one entry's exec mutex. The key is the
+        // one admission computed: no second O(nnz) content hash.
+        entry = core.cache.acquireKeyed(
+            head.key, shard, &cacheHit, [&](CacheKey key) {
+                return head.loaded && head.loaded->artifact
+                           ? std::make_shared<PreparedOperator>(
+                                 head.loaded->artifact, head.req.op,
+                                 key)
+                           : std::make_shared<PreparedOperator>(
+                                 *head.req.matrix, head.req.op, key);
+            });
         const auto n =
             static_cast<std::size_t>(entry->matrix().rows());
         // One logical operation at a time per shared entry: the
         // accelerator backends' scratch is per-instance.
         std::lock_guard opLock(entry->opMutex());
         telemetry::Timer solveTimer(hSolve);
-        if (k == 1) {
+        if (head.req.kind == SolverKind::Cg) {
+            // Every CG batch -- a singleton, a resumed singleton or
+            // a coalesced panel -- is one runCg() over the requests'
+            // own states; a panel column returns exactly the bits of
+            // a solo solve.
+            std::vector<CgState *> states(k);
+            for (unsigned c = 0; c < k; ++c) {
+                PendingRequest &p = *batch[c];
+                if (!p.cg) {
+                    p.x.assign(n, 0.0);
+                    SolverConfig scfg;
+                    scfg.tolerance = p.req.tolerance;
+                    scfg.maxIterations = p.req.maxIterations;
+                    scfg.exec = &p.ctx;
+                    p.cg = std::make_unique<CgState>(p.req.b, p.x,
+                                                     scfg);
+                }
+                states[c] = p.cg.get();
+            }
+            // A singleton yields when its context asks (the preempt
+            // trigger or yieldAfterChecks); a flag left over from
+            // its previous segment must not park it again at once.
+            if (k == 1)
+                head.ctx.clearYield();
+            runCg(entry->op(), states);
+            for (unsigned c = 0; c < k; ++c) {
+                PendingRequest &p = *batch[c];
+                RequestResult &res = results[c];
+                res.solve = p.cg->result();
+                res.status = res.solve.status;
+                res.coalesced = k > 1;
+                if (p.cg->done()) {
+                    p.cg.reset();
+                    res.x = std::move(p.x);
+                }
+            }
+        } else {
             RequestResult &res = results[0];
             res.x.assign(n, 0.0);
             SolverConfig scfg;
             scfg.tolerance = head.req.tolerance;
             scfg.maxIterations = head.req.maxIterations;
             scfg.exec = &head.ctx;
-            switch (head.req.kind) {
-              case SolverKind::Cg:
-                // Singleton CG honors checkpoints: a yield raised
-                // by the preempt trigger (or yieldAfterChecks)
-                // parks the recurrence in head.ckpt. Stale flags
-                // from a previous segment are cleared first.
-                scfg.checkpoint = &head.ckpt;
-                head.ctx.clearYield();
-                res.solve = conjugateGradient(entry->op(),
-                                              head.req.b, res.x,
-                                              scfg);
-                break;
-              case SolverKind::Gmres:
-                res.solve = gmres(entry->op(), head.req.b, res.x,
-                                  scfg);
-                break;
-              case SolverKind::BiCgStab:
-              case SolverKind::Auto:
-              default:
-                res.solve = biCgStab(entry->op(), head.req.b,
-                                     res.x, scfg);
-                break;
-            }
+            res.solve = head.req.kind == SolverKind::Gmres
+                            ? gmres(entry->op(), head.req.b, res.x,
+                                    scfg)
+                            : biCgStab(entry->op(), head.req.b,
+                                       res.x, scfg);
             res.status = res.solve.status;
-        } else {
-            // Coalesced CG panel: pack the columns, advance every
-            // request's independent recurrence in lockstep. Bitwise
-            // identical per column to a solo solve.
-            std::vector<double> B(n * k), X(n * k, 0.0);
-            std::vector<LockstepColumnControl> ctl(k);
-            for (unsigned c = 0; c < k; ++c) {
-                const PendingRequest &p = *batch[c];
-                std::copy_n(p.req.b.data(), n, B.data() + c * n);
-                ctl[c].tolerance = p.req.tolerance;
-                ctl[c].maxIterations = p.req.maxIterations;
-                ctl[c].exec = &batch[c]->ctx;
-            }
-            const std::vector<SolverResult> colRes =
-                lockstepConjugateGradient(entry->op(), B, X, k,
-                                          ctl);
-            for (unsigned c = 0; c < k; ++c) {
-                RequestResult &res = results[c];
-                res.solve = colRes[c];
-                res.status = colRes[c].status;
-                res.coalesced = true;
-                res.x.assign(X.data() + c * n,
-                             X.data() + (c + 1) * n);
-            }
         }
     } catch (const PanicError &) {
         throw; // programming error: never absorb
@@ -674,8 +672,8 @@ SolverService::submit(SolveRequest req)
             core->pendings.emplace(p->id, p);
             // Preempt trigger: a deadline request asks any running
             // preemptible solve with no deadline (or a later one)
-            // and no higher priority to yield at its next
-            // checkpoint. Cooperative and best-effort: the victim
+            // and no higher priority to yield at its next iteration
+            // boundary. Cooperative and best-effort: the victim
             // re-queues, this request overtakes it by EDF. In
             // manual-pump mode nothing runs during submit, so the
             // trigger is inert there (tests use yieldAfterChecks).

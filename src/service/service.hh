@@ -13,14 +13,17 @@
  * operator key; dispatch serves, within the highest priority band,
  * the tenant owed service under weighted fair share, earliest
  * deadline first (scheduler.hh), coalesces same-operator CG
- * requests already in the shard's queue into one lockstep panel
- * (lockstepConjugateGradient), resolves the prepared operator
- * through the keyed PrepareCache (one replica per shard), and runs
- * the solve with the request's ExecContext attached, so cancel()
- * and deadlines land mid-iteration -- and a short-deadline arrival
- * can ask a long-running solve to yield at its next CG checkpoint
- * boundary and re-queue (cooperative preemption; the resumed solve
- * is bitwise identical to an uninterrupted one).
+ * requests already in the shard's queue into one panel, resolves
+ * the prepared operator through the keyed PrepareCache (one replica
+ * per shard, keyed by the key admission computed), and runs the
+ * solve with the request's ExecContext attached, so cancel() and
+ * deadlines land mid-iteration. Every CG batch, singleton or panel,
+ * is one runCg() over the requests' own CgStates (solver/solver.hh).
+ * A short-deadline arrival can ask a running singleton CG solve to
+ * yield at its next iteration boundary: the request re-queues
+ * holding its parked CgState, and its next dispatch resumes that
+ * state in place (cooperative preemption; the resumed solve is
+ * bitwise identical to an uninterrupted one).
  *
  * Determinism: with workers = 0 the service runs no threads; the
  * caller pumps dispatches on its own thread with runUntilIdle(),
@@ -28,10 +31,10 @@
  * is a pure function of the submission sequence -- the replay tests
  * pin exactly that. With workers >= 1 the same pump runs on
  * background shard threads; per-request RESULTS stay bit-identical
- * (the lockstep/batch bitwise contracts), while decision interleaving
+ * (the panel/batch bitwise contracts), while decision interleaving
  * follows real scheduling.
  *
- * Coalescing changes no answer bit: a lockstep panel advances k
+ * Coalescing changes no answer bit: a panel advances k
  * independent CG recurrences through one applyBatch per iteration,
  * and applyBatch is pinned bitwise to the k sequential applies, so
  * a coalesced request returns exactly the bits a solo solve
@@ -97,7 +100,8 @@ struct SolveRequest
     std::uint64_t cancelAfterChecks = 0;
     /** Chaos/testing surface: raise the request's yield flag on the
      *  n-th ExecContext poll, forcing a cooperative preemption at
-     *  the next CG checkpoint boundary (the deterministic stand-in
+     *  the next iteration boundary of a singleton CG solve (the
+     *  deterministic stand-in
      *  for the deadline-driven trigger, which needs real worker
      *  concurrency to fire). Zero = never. */
     std::uint64_t yieldAfterChecks = 0;
@@ -119,10 +123,11 @@ struct RequestResult
     SolveStatus status = SolveStatus::Failed;
     SolverResult solve;    //!< solver record (when a solve ran)
     std::vector<double> x; //!< solution iterate (empty if rejected)
-    bool coalesced = false; //!< ran inside a lockstep panel
+    bool coalesced = false; //!< ran inside a coalesced CG panel
     unsigned batchWidth = 1; //!< panel width it dispatched in
     bool cacheHit = false;  //!< prepared operator came from cache
-    /** Times the solve yielded at a checkpoint and was re-queued
+    /** Times the solve yielded at an iteration boundary and was
+     *  re-queued
      *  before reaching this terminal state. The result is bitwise
      *  identical to an uninterrupted solve regardless. */
     unsigned preemptions = 0;
@@ -197,7 +202,7 @@ struct ServiceStats
     std::uint64_t failed = 0;  //!< execution faults
     std::uint64_t batches = 0; //!< dispatches (any width)
     std::uint64_t coalescedBatches = 0; //!< dispatches with k > 1
-    /** Cooperative checkpoint yields that were re-queued. */
+    /** Cooperative mid-solve yields that were re-queued. */
     std::uint64_t preempted = 0;
     /** Batches an idle shard stole from another shard's queue. */
     std::uint64_t migrated = 0;

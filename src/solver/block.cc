@@ -16,33 +16,6 @@ constinit telemetry::Counter
     ctrBlockIterations{"solver.block_iterations"};
 constinit telemetry::Gauge gBlockResidual{"solver.block_residual"};
 
-/** RAII context binding, mirroring the scalar solvers (solver.cc):
- *  attach cfg.exec to the operator for the duration of the solve so
- *  block-batched operators poll it mid-apply. */
-class ExecBinding
-{
-  public:
-    ExecBinding(LinearOperator &op, const ExecContext *ctx)
-        : a(op), bound(ctx != nullptr)
-    {
-        if (bound)
-            a.setExecContext(ctx);
-    }
-
-    ~ExecBinding()
-    {
-        if (bound)
-            a.setExecContext(nullptr);
-    }
-
-    ExecBinding(const ExecBinding &) = delete;
-    ExecBinding &operator=(const ExecBinding &) = delete;
-
-  private:
-    LinearOperator &a;
-    bool bound;
-};
-
 /** Breakdown guard on an elimination pivot (see solver.cc). */
 bool
 breakdownPivot(double pivot)
@@ -311,209 +284,6 @@ blockConjugateGradient(LinearOperator &a, std::span<const double> B,
     res.status =
         res.converged ? SolveStatus::Converged : stop;
     return res;
-}
-
-namespace {
-
-// Same interned cells as the scalar solvers (solver.cc): lockstep
-// columns tick "solver.iterations" exactly as standalone CG would,
-// so the telemetry totals of a coalesced batch match k direct
-// solves.
-constinit telemetry::Counter ctrIterations{"solver.iterations"};
-constinit telemetry::Gauge gResidual{"solver.residual"};
-
-} // namespace
-
-std::vector<SolverResult>
-lockstepConjugateGradient(LinearOperator &a,
-                          std::span<const double> B,
-                          std::span<double> X, unsigned k,
-                          std::span<const LockstepColumnControl> ctl,
-                          SolverWorkspace *ws)
-{
-    if (a.rows() != a.cols())
-        fatal("lockstepCG: operator must be square");
-    const auto n = static_cast<std::size_t>(a.rows());
-    if (k == 0)
-        fatal("lockstepCG: empty panel");
-    if (B.size() != n * k || X.size() != n * k)
-        fatal("lockstepCG: panel size mismatch");
-
-    telemetry::Span span("solver.lockstep_cg");
-
-    const LockstepColumnControl defaultCtl;
-    const auto colCtl = [&](unsigned c) -> const auto & {
-        if (ctl.empty())
-            return defaultCtl;
-        return ctl[std::min<std::size_t>(c, ctl.size() - 1)];
-    };
-
-    SolverWorkspace local;
-    SolverWorkspace &wsp = ws ? *ws : local;
-    // Panel-sized scratch: per-column r/p/ap columns plus the packed
-    // panels the batched applies run over.
-    std::vector<double> &R = wsp.vec(0, n * k);
-    std::vector<double> &P = wsp.vec(1, n * k);
-    std::vector<double> &AP = wsp.vec(2, n * k);
-    std::vector<double> &pack = wsp.vec(3, n * k);
-    std::vector<double> &packOut = wsp.vec(4, n * k);
-
-    std::vector<SolverResult> results(k);
-    std::vector<double> rr(k, 0.0), bNorm(k, 0.0);
-    std::vector<bool> active(k, false);
-
-    // Finalize a column the way standalone CG's normal exit does:
-    // recompute convergence from the current residual, Converged
-    // winning over the provided stop reason.
-    const auto finalize = [&](unsigned c, SolveStatus stop) {
-        SolverResult &res = results[c];
-        res.relResidual = std::sqrt(rr[c]) / bNorm[c];
-        res.converged = res.relResidual <= colCtl(c).tolerance;
-        res.status =
-            res.converged ? SolveStatus::Converged : stop;
-        active[c] = false;
-    };
-    // Finalize a column the way standalone CG's CancelledError
-    // handler does: keep the last completed iterate, report the
-    // stop status, never claim convergence.
-    const auto interrupt = [&](unsigned c, SolveStatus stop) {
-        SolverResult &res = results[c];
-        res.relResidual = (bNorm[c] > 0.0 && rr[c] > 0.0)
-                              ? std::sqrt(rr[c]) / bNorm[c]
-                              : 1.0;
-        res.status = stop;
-        active[c] = false;
-    };
-
-    // Pack the active columns' @p src columns into a contiguous
-    // panel, run ONE batched apply, and scatter back into @p dst.
-    // Copies carry bits unchanged, and applyBatch is pinned bitwise
-    // to the sequential applies, so each column sees exactly the
-    // apply() result standalone CG would have computed.
-    const auto batchApply = [&](std::span<const double> src,
-                                std::span<double> dst) {
-        unsigned ka = 0;
-        for (unsigned c = 0; c < k; ++c)
-            if (active[c])
-                std::copy_n(src.data() + c * n, n,
-                            pack.data() + (ka++) * n);
-        if (ka == 0)
-            return;
-        a.applyBatch(
-            std::span<const double>(pack.data(), ka * n),
-            std::span<double>(packOut.data(), ka * n), ka);
-        unsigned j = 0;
-        for (unsigned c = 0; c < k; ++c)
-            if (active[c]) {
-                std::copy_n(packOut.data() + j * n, n,
-                            dst.data() + c * n);
-                ++j;
-                ++results[c].spmvCalls;
-            }
-    };
-
-    // --- initial residuals: r = b - A x, p = r -------------------
-    for (unsigned c = 0; c < k; ++c) {
-        results[c].vectorLength = n;
-        const ExecContext *exec = colCtl(c).exec;
-        if (execShouldStop(exec)) {
-            interrupt(c, exec->stopStatus());
-            continue;
-        }
-        active[c] = true;
-    }
-    batchApply(X, std::span<double>(R));
-    for (unsigned c = 0; c < k; ++c) {
-        if (!active[c])
-            continue;
-        const auto b = B.subspan(c * n, n);
-        const auto r = std::span<double>(R).subspan(c * n, n);
-        for (std::size_t i = 0; i < n; ++i)
-            r[i] = b[i] - r[i];
-        std::copy_n(r.data(), n, P.data() + c * n);
-
-        bNorm[c] = norm2(b);
-        ++results[c].dotCalls;
-        if (bNorm[c] == 0.0) {
-            auto x = X.subspan(c * n, n);
-            std::fill(x.begin(), x.end(), 0.0);
-            results[c].converged = true;
-            results[c].status = SolveStatus::Converged;
-            active[c] = false;
-            continue;
-        }
-        rr[c] = dot(r, r);
-        ++results[c].dotCalls;
-    }
-
-    // --- lockstep iterations -------------------------------------
-    for (;;) {
-        // Per-column loop head: exactly standalone CG's checks, in
-        // its order (iteration budget is the for-loop condition,
-        // then convergence, then the exec poll).
-        for (unsigned c = 0; c < k; ++c) {
-            if (!active[c])
-                continue;
-            const LockstepColumnControl &cc = colCtl(c);
-            if (results[c].iterations >= cc.maxIterations) {
-                finalize(c, SolveStatus::MaxIterations);
-                continue;
-            }
-            if (std::sqrt(rr[c]) / bNorm[c] <= cc.tolerance) {
-                finalize(c, SolveStatus::MaxIterations);
-                continue;
-            }
-            if (execShouldStop(cc.exec))
-                interrupt(c, cc.exec->stopStatus());
-        }
-
-        bool any = false;
-        for (unsigned c = 0; c < k; ++c)
-            any = any || active[c];
-        if (!any)
-            break;
-
-        // One panel apply advances every live column: ap = A p.
-        batchApply(P, std::span<double>(AP));
-
-        for (unsigned c = 0; c < k; ++c) {
-            if (!active[c])
-                continue;
-            SolverResult &res = results[c];
-            const auto p =
-                std::span<const double>(P).subspan(c * n, n);
-            const auto ap =
-                std::span<const double>(AP).subspan(c * n, n);
-            const auto r = std::span<double>(R).subspan(c * n, n);
-            const auto x = X.subspan(c * n, n);
-
-            const double pap = dot(p, ap);
-            ++res.dotCalls;
-            if (pap <= 0.0) {
-                warn("lockstep CG: operator not positive definite "
-                     "(p'Ap = ",
-                     pap, ") on column ", c, "; aborting it");
-                finalize(c, SolveStatus::Breakdown);
-                continue;
-            }
-            const double alpha = rr[c] / pap;
-            axpy(alpha, p, x);
-            axpy(-alpha, ap, r);
-            res.axpyCalls += 2;
-            const double rrNew = dot(r, r);
-            ++res.dotCalls;
-            const double beta = rrNew / rr[c];
-            auto pw = std::span<double>(P).subspan(c * n, n);
-            for (std::size_t i = 0; i < n; ++i)
-                pw[i] = r[i] + beta * pw[i];
-            ++res.axpyCalls;
-            rr[c] = rrNew;
-            ++res.iterations;
-            ctrIterations.add();
-            gResidual.set(std::sqrt(rr[c]) / bNorm[c]);
-        }
-    }
-    return results;
 }
 
 } // namespace msc

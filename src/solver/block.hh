@@ -20,6 +20,11 @@
  * of an undeflated block method; callers fall back to independent
  * solves (ResilientSolver::solveBatch) for such panels.
  *
+ * Coalesced INDEPENDENT solves are not a block method: k CG
+ * recurrences that share only the panel apply, each bitwise equal to
+ * its solo solve, run through runCg() over k CgStates
+ * (solver/solver.hh).
+ *
  * Determinism contract: all reductions (k x k Gram matrices, the
  * small Gaussian solves, the panel updates) run serially on the
  * solve thread; the only fanned-out work is the operator's own
@@ -86,50 +91,6 @@ struct BlockSolverResult
 BlockSolverResult blockConjugateGradient(
     LinearOperator &a, std::span<const double> B, std::span<double> X,
     unsigned k, const SolverConfig &cfg = {},
-    SolverWorkspace *ws = nullptr);
-
-/** Per-column controls of a lockstep panel solve. */
-struct LockstepColumnControl
-{
-    double tolerance = 1e-10;
-    int maxIterations = 5000;
-    /** Optional per-column execution context, polled at the same
-     *  points standalone CG polls cfg.exec (before the initial
-     *  apply and once per iteration). Not owned. */
-    const ExecContext *exec = nullptr;
-};
-
-/**
- * Lockstep conjugate gradient: k INDEPENDENT CG recurrences advanced
- * side by side, one panel applyBatch per iteration.
- *
- * Unlike blockConjugateGradient (whose columns share one Krylov
- * space and therefore follow different trajectories than standalone
- * CG), every column here runs the exact scalar recurrence of
- * conjugateGradient() -- same dot/axpy kernels, same order -- and
- * only the operator applies are batched. Since applyBatch is pinned
- * bitwise to the k sequential applies (the PR 7 contract), each
- * column's iterate sequence, and hence its result, is bit-identical
- * to a standalone conjugateGradient() call on that column alone.
- * This is what lets the service runtime coalesce same-operator
- * requests for the panel-amortization win without changing a single
- * answer bit.
- *
- * Columns terminate individually (convergence, breakdown, their own
- * maxIterations, or their own exec context firing) and simply leave
- * the lockstep set; remaining columns are unaffected -- in
- * particular, cancelling one request of a coalesced batch leaves
- * its siblings' results bitwise unchanged.
- *
- * @param ctl  per-column controls; when shorter than k (or empty)
- *             the last entry (or a default) applies to the rest
- * @return one SolverResult per column, exactly what standalone CG
- *         would have produced (iteration counts, statuses, kernel
- *         tallies; operator-level exec polls excepted)
- */
-std::vector<SolverResult> lockstepConjugateGradient(
-    LinearOperator &a, std::span<const double> B, std::span<double> X,
-    unsigned k, std::span<const LockstepColumnControl> ctl = {},
     SolverWorkspace *ws = nullptr);
 
 } // namespace msc

@@ -207,72 +207,8 @@ preconditionedCg(LinearOperator &a, const Preconditioner &m,
                  std::span<const double> b, std::span<double> x,
                  const SolverConfig &cfg)
 {
-    if (a.rows() != a.cols())
-        fatal("preconditionedCg: operator must be square");
-    if (b.size() != static_cast<std::size_t>(a.rows()) ||
-        x.size() != b.size())
-        fatal("preconditionedCg: dimension mismatch");
-
-    const std::size_t n = b.size();
-    SolverResult res;
-    res.vectorLength = n;
-
-    std::vector<double> r(n), z(n), p(n), ap(n);
-    a.apply(x, r);
-    ++res.spmvCalls;
-    for (std::size_t i = 0; i < n; ++i)
-        r[i] = b[i] - r[i];
-
-    const double bNorm = norm2(b);
-    ++res.dotCalls;
-    if (bNorm == 0.0) {
-        std::fill(x.begin(), x.end(), 0.0);
-        res.converged = true;
-        return res;
-    }
-
-    m.apply(r, z);
-    ++res.precondApplies;
-    p = z;
-    double rz = dot(r, z);
-    ++res.dotCalls;
-
-    double rNorm = norm2(r);
-    ++res.dotCalls;
-    for (int it = 0; it < cfg.maxIterations; ++it) {
-        if (rNorm / bNorm <= cfg.tolerance) {
-            res.converged = true;
-            break;
-        }
-        a.apply(p, ap);
-        ++res.spmvCalls;
-        const double pap = dot(p, ap);
-        ++res.dotCalls;
-        if (pap <= 0.0) {
-            warn("PCG: operator or preconditioner not SPD (p'Ap = ",
-                 pap, ")");
-            break;
-        }
-        const double alpha = rz / pap;
-        axpy(alpha, p, x);
-        axpy(-alpha, ap, r);
-        res.axpyCalls += 2;
-        m.apply(r, z);
-        ++res.precondApplies;
-        const double rzNew = dot(r, z);
-        ++res.dotCalls;
-        const double beta = rzNew / rz;
-        for (std::size_t i = 0; i < n; ++i)
-            p[i] = z[i] + beta * p[i];
-        ++res.axpyCalls;
-        rz = rzNew;
-        rNorm = norm2(r);
-        ++res.dotCalls;
-        ++res.iterations;
-    }
-    res.relResidual = rNorm / bNorm;
-    res.converged = res.relResidual <= cfg.tolerance;
-    return res;
+    CgState state(b, x, cfg, &m);
+    return runCg(a, state);
 }
 
 } // namespace msc

@@ -119,10 +119,13 @@ class Ilu0Preconditioner : public Preconditioner
 };
 
 /**
- * Preconditioned conjugate gradient. With an
- * IdentityPreconditioner this reduces exactly to
- * conjugateGradient(). Preconditioner applications are counted in
- * SolverResult::axpyCalls-equivalent work via precondApplies.
+ * Preconditioned conjugate gradient: a solo runCg() over a CgState
+ * carrying @p m, so it honors cfg.exec, statuses and yields exactly
+ * like conjugateGradient(). With an IdentityPreconditioner it
+ * computes the same x, iterations and relResidual as
+ * conjugateGradient(), bit for bit; only the tallies differ (one
+ * more dot per iteration for ||r||, and precondApplies counts the
+ * preconditioner applications).
  */
 SolverResult preconditionedCg(LinearOperator &a,
                               const Preconditioner &m,

@@ -1,7 +1,10 @@
 #include "solver/solver.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 
+#include "solver/precond.hh"
 #include "util/logging.hh"
 #include "util/telemetry.hh"
 
@@ -17,36 +20,6 @@ namespace {
 // the pool's lane count.
 constinit telemetry::Counter ctrIterations{"solver.iterations"};
 constinit telemetry::Gauge gResidual{"solver.residual"};
-
-/**
- * RAII: attach cfg.exec to the operator for the duration of one
- * solve so block-batched operators (accel/, fault/) poll it
- * mid-apply, and detach on exit -- the context may not outlive the
- * operator. No virtual call in the default (nullptr) path.
- */
-class ExecBinding
-{
-  public:
-    ExecBinding(LinearOperator &op, const ExecContext *ctx)
-        : a(op), bound(ctx != nullptr)
-    {
-        if (bound)
-            a.setExecContext(ctx);
-    }
-
-    ~ExecBinding()
-    {
-        if (bound)
-            a.setExecContext(nullptr);
-    }
-
-    ExecBinding(const ExecBinding &) = delete;
-    ExecBinding &operator=(const ExecBinding &) = delete;
-
-  private:
-    LinearOperator &a;
-    bool bound;
-};
 
 void
 checkSystem(const LinearOperator &a, std::span<const double> b,
@@ -70,139 +43,247 @@ breakdown(double denom)
 
 } // namespace
 
+CgState::CgState(std::span<const double> bIn, std::span<double> xIn,
+                 const SolverConfig &cfgIn, const Preconditioner *m,
+                 SolverWorkspace *ws)
+    : b(bIn), x(xIn), cfg(cfgIn), precond(m)
+{
+    if (x.size() != b.size())
+        fatal("solver: dimension mismatch");
+    const std::size_t n = b.size();
+    SolverWorkspace &wsp = ws ? *ws : own;
+    r = wsp.vec(0, n);
+    p = wsp.vec(1, n);
+    ap = wsp.vec(2, n);
+    if (precond)
+        z = wsp.vec(3, n);
+    res.vectorLength = n;
+}
+
+double
+CgState::residualNorm() const
+{
+    return precond ? rNorm : std::sqrt(rz);
+}
+
+/** r holds A x: finish the initial residual r = b - A x and the
+ *  first search direction. */
+void
+CgState::start()
+{
+    started = true;
+    for (std::size_t i = 0; i < r.size(); ++i)
+        r[i] = b[i] - r[i];
+    bNorm = norm2(b);
+    ++res.dotCalls;
+    if (bNorm == 0.0) {
+        std::fill(x.begin(), x.end(), 0.0);
+        res.converged = true;
+        res.status = SolveStatus::Converged;
+        finished = true;
+        return;
+    }
+    if (precond) {
+        precond->apply(r, z);
+        ++res.precondApplies;
+        std::copy(z.begin(), z.end(), p.begin());
+        rz = dot(r, z);
+        rNorm = norm2(r);
+        res.dotCalls += 2;
+    } else {
+        std::copy(r.begin(), r.end(), p.begin());
+        rz = dot(r, r);
+        ++res.dotCalls;
+    }
+}
+
+/** Poll the context; a stop ends the state. */
+bool
+CgState::stopped()
+{
+    if (!execShouldStop(cfg.exec))
+        return false;
+    interrupt(cfg.exec->stopStatus());
+    return true;
+}
+
+/** Loop head: true when the state takes the next apply. */
+bool
+CgState::ready(bool mayYield)
+{
+    if (res.iterations >= cfg.maxIterations ||
+        residualNorm() / bNorm <= cfg.tolerance) {
+        finish(SolveStatus::MaxIterations);
+        return false;
+    }
+    if (stopped())
+        return false;
+    if (mayYield && cfg.exec != nullptr &&
+        cfg.exec->yieldRequested()) {
+        // Park: no arithmetic has run for this iteration, so the
+        // next runCg() re-enters the recurrence exactly here.
+        res.relResidual = residualNorm() / bNorm;
+        res.status = SolveStatus::Preempted;
+        return false;
+    }
+    return true;
+}
+
+/** ap holds A p: one CG iteration. */
+void
+CgState::step()
+{
+    const double pap = dot(p, ap);
+    ++res.dotCalls;
+    if (pap <= 0.0) {
+        warn("CG: operator not positive definite (p'Ap = ", pap,
+             "); aborting");
+        finish(SolveStatus::Breakdown);
+        return;
+    }
+    const double alpha = rz / pap;
+    axpy(alpha, p, x);
+    axpy(-alpha, ap, r);
+    res.axpyCalls += 2;
+    std::span<const double> zr = r;
+    if (precond) {
+        precond->apply(r, z);
+        ++res.precondApplies;
+        zr = z;
+    }
+    const double rzNew = dot(r, zr);
+    ++res.dotCalls;
+    const double beta = rzNew / rz;
+    // p = z + beta p
+    for (std::size_t i = 0; i < p.size(); ++i)
+        p[i] = zr[i] + beta * p[i];
+    ++res.axpyCalls;
+    rz = rzNew;
+    if (precond) {
+        rNorm = norm2(r);
+        ++res.dotCalls;
+    }
+    ++res.iterations;
+    ctrIterations.add();
+    gResidual.set(residualNorm() / bNorm);
+}
+
+/** Normal exit: Converged wins over @p stop whenever the residual
+ *  meets the tolerance. */
+void
+CgState::finish(SolveStatus stop)
+{
+    res.relResidual = residualNorm() / bNorm;
+    res.converged = res.relResidual <= cfg.tolerance;
+    res.status = res.converged ? SolveStatus::Converged : stop;
+    finished = true;
+}
+
+/** Stopped by the context: x keeps the last completed iterate
+ *  (it moves only in step()'s axpy), and convergence is never
+ *  claimed. */
+void
+CgState::interrupt(SolveStatus stop)
+{
+    const double rn = residualNorm();
+    res.relResidual = (bNorm > 0.0 && rn > 0.0) ? rn / bNorm : 1.0;
+    res.status = stop;
+    finished = true;
+}
+
+void
+runCg(LinearOperator &a, std::span<CgState *const> states)
+{
+    if (states.empty())
+        fatal("runCg: no states");
+    if (a.rows() != a.cols())
+        fatal("solver: operator must be square");
+    const auto n = static_cast<std::size_t>(a.rows());
+    for (const CgState *s : states)
+        if (s->b.size() != n)
+            fatal("solver: dimension mismatch");
+
+    const bool solo = states.size() == 1;
+    telemetry::Span span(solo ? "solver.cg" : "solver.lockstep_cg");
+    ExecBinding bind(a, solo ? states[0]->cfg.exec : nullptr);
+
+    // One apply over the live states. Solo applies straight from the
+    // state's vectors; a panel packs the live columns, runs ONE
+    // applyBatch and scatters back. Copies carry bits unchanged, so
+    // each state sees exactly the apply() a solo solve computes.
+    std::optional<SolverWorkspace> panel;
+    std::span<double> pack, packOut;
+    if (!solo) {
+        panel.emplace();
+        pack = panel->vec(0, n * states.size());
+        packOut = panel->vec(1, n * states.size());
+    }
+    using Vec = std::span<double> CgState::*;
+    const auto applyLive = [&](Vec src, Vec dst) {
+        if (solo) {
+            CgState &s = *states[0];
+            a.apply(s.*src, s.*dst);
+            ++s.res.spmvCalls;
+            return;
+        }
+        std::size_t k = 0;
+        for (CgState *s : states)
+            if (s->live)
+                std::copy_n((s->*src).data(), n, &pack[(k++) * n]);
+        a.applyBatch(pack.first(k * n), packOut.first(k * n),
+                     static_cast<unsigned>(k));
+        k = 0;
+        for (CgState *s : states)
+            if (s->live) {
+                std::copy_n(&packOut[(k++) * n], n, (s->*dst).data());
+                ++s->res.spmvCalls;
+            }
+    };
+
+    try {
+        // Fresh states: poll, then r = A x in one apply.
+        bool fresh = false;
+        for (CgState *s : states) {
+            s->live = !s->started && !s->finished && !s->stopped();
+            fresh = fresh || s->live;
+        }
+        if (fresh) {
+            applyLive(&CgState::x, &CgState::r);
+            for (CgState *s : states)
+                if (s->live)
+                    s->start();
+        }
+
+        for (;;) {
+            bool any = false;
+            for (CgState *s : states) {
+                s->live = s->started && !s->finished && s->ready(solo);
+                any = any || s->live;
+            }
+            if (!any)
+                return;
+            applyLive(&CgState::p, &CgState::ap);
+            for (CgState *s : states)
+                if (s->live)
+                    s->step();
+        }
+    } catch (const CancelledError &e) {
+        // Only a solo state binds its context, so only it can be
+        // stopped inside an apply.
+        if (!solo)
+            throw;
+        states[0]->interrupt(e.status());
+    }
+}
+
 SolverResult
 conjugateGradient(LinearOperator &a, std::span<const double> b,
                   std::span<double> x, const SolverConfig &cfg,
                   SolverWorkspace *ws)
 {
     checkSystem(a, b, x);
-    telemetry::Span span("solver.cg");
-    const std::size_t n = b.size();
-    SolverResult res;
-    res.vectorLength = n;
-
-    SolverWorkspace local;
-    SolverWorkspace &wsp = ws ? *ws : local;
-    std::vector<double> &r = wsp.vec(0, n);
-    std::vector<double> &p = wsp.vec(1, n);
-    std::vector<double> &ap = wsp.vec(2, n);
-
-    ExecBinding bind(a, cfg.exec);
-    SolveStatus stop = SolveStatus::MaxIterations;
-    bool interrupted = false;
-    double bNorm = 0.0;
-    double rr = 0.0;
-    SolverCheckpoint *ckpt = cfg.checkpoint;
-    const bool resuming = ckpt != nullptr && ckpt->valid &&
-                          ckpt->x.size() == n;
-    try {
-        if (resuming) {
-            // Restore the exact recurrence state of the preempted
-            // segment: the concatenated segments walk the same
-            // iterate sequence an uninterrupted solve would.
-            std::copy(ckpt->x.begin(), ckpt->x.end(), x.begin());
-            std::copy(ckpt->r.begin(), ckpt->r.end(), r.begin());
-            std::copy(ckpt->p.begin(), ckpt->p.end(), p.begin());
-            rr = ckpt->rr;
-            bNorm = ckpt->bNorm;
-            res.iterations = ckpt->iterationsDone;
-            res.spmvCalls = ckpt->spmvCalls;
-            res.dotCalls = ckpt->dotCalls;
-            res.axpyCalls = ckpt->axpyCalls;
-            ckpt->valid = false;
-        } else {
-            execCheckpoint(cfg.exec);
-            // r = b - A x
-            a.apply(x, r);
-            ++res.spmvCalls;
-            for (std::size_t i = 0; i < n; ++i)
-                r[i] = b[i] - r[i];
-            p = r;
-
-            bNorm = norm2(b);
-            ++res.dotCalls;
-            if (bNorm == 0.0) {
-                std::fill(x.begin(), x.end(), 0.0);
-                res.converged = true;
-                res.status = SolveStatus::Converged;
-                return res;
-            }
-
-            rr = dot(r, r);
-            ++res.dotCalls;
-        }
-        for (int it = res.iterations; it < cfg.maxIterations;
-             ++it) {
-            if (std::sqrt(rr) / bNorm <= cfg.tolerance) {
-                res.converged = true;
-                break;
-            }
-            execCheckpoint(cfg.exec);
-            if (ckpt != nullptr && cfg.exec != nullptr &&
-                cfg.exec->yieldRequested()) {
-                // Cooperative preemption: save the full state at
-                // this iteration boundary and step aside. No
-                // arithmetic has run for iteration `it`, so the
-                // resumed segment re-enters the loop exactly here.
-                ckpt->iterationsDone = res.iterations;
-                ckpt->rr = rr;
-                ckpt->bNorm = bNorm;
-                ckpt->x.assign(x.begin(), x.end());
-                ckpt->r = r;
-                ckpt->p = p;
-                ckpt->spmvCalls = res.spmvCalls;
-                ckpt->dotCalls = res.dotCalls;
-                ckpt->axpyCalls = res.axpyCalls;
-                ckpt->valid = true;
-                res.relResidual = std::sqrt(rr) / bNorm;
-                res.status = SolveStatus::Preempted;
-                return res;
-            }
-            a.apply(p, ap);
-            ++res.spmvCalls;
-            const double pap = dot(p, ap);
-            ++res.dotCalls;
-            if (pap <= 0.0) {
-                warn("CG: operator not positive definite (p'Ap = ",
-                     pap, "); aborting");
-                stop = SolveStatus::Breakdown;
-                break;
-            }
-            const double alpha = rr / pap;
-            axpy(alpha, p, x);
-            axpy(-alpha, ap, r);
-            res.axpyCalls += 2;
-            const double rrNew = dot(r, r);
-            ++res.dotCalls;
-            const double beta = rrNew / rr;
-            // p = r + beta p
-            for (std::size_t i = 0; i < n; ++i)
-                p[i] = r[i] + beta * p[i];
-            ++res.axpyCalls;
-            rr = rrNew;
-            ++res.iterations;
-            ctrIterations.add();
-            gResidual.set(std::sqrt(rr) / bNorm);
-        }
-    } catch (const CancelledError &e) {
-        // x only moves through the serial axpy above, so it holds
-        // the last completed iterate regardless of where inside the
-        // iteration the stop landed.
-        stop = e.status();
-        interrupted = true;
-    }
-    if (interrupted) {
-        res.relResidual = (bNorm > 0.0 && rr > 0.0)
-                              ? std::sqrt(rr) / bNorm
-                              : 1.0;
-        res.status = stop;
-        return res;
-    }
-    res.relResidual = std::sqrt(rr) / bNorm;
-    res.converged = res.relResidual <= cfg.tolerance;
-    res.status =
-        res.converged ? SolveStatus::Converged : stop;
-    return res;
+    CgState state(b, x, cfg, nullptr, ws);
+    return runCg(a, state);
 }
 
 SolverResult

@@ -12,6 +12,12 @@
  * Kernel-call counts are recorded so the timing models can translate
  * one solve into accelerator and GPU execution time (Section VI-A:
  * sparse MVM, dot product, AXPY).
+ *
+ * CG exists once: a CgState holds one recurrence and runCg() drives
+ * k of them with one operator apply per iteration. A solo solve, a
+ * preconditioned solve, a coalesced service panel and a preempted,
+ * later resumed solve are all that driver; conjugateGradient() and
+ * preconditionedCg() are thin wrappers over it.
  */
 
 #ifndef MSC_SOLVER_SOLVER_HH
@@ -163,43 +169,6 @@ enum class SolverKind
     Gmres,
 };
 
-/**
- * Resumable mid-solve state for cooperative preemption (currently
- * CG only: the service's preemptible path).
- *
- * When SolverConfig::checkpoint is attached and the ExecContext's
- * yield flag fires, the solver stops at the next iteration boundary,
- * deep-copies its full recurrence state (iterate, residual, search
- * direction, scalars, kernel tallies) into the checkpoint, and
- * returns SolveStatus::Preempted. A later call with the same
- * checkpoint (valid == true) restores that exact state and continues
- * the recurrence, so the concatenated segments produce bitwise the
- * iterate sequence -- and hence the result -- of an uninterrupted
- * solve. That identity is what lets a scheduler preempt a long solve
- * for a short-deadline one without changing any answer bit.
- */
-struct SolverCheckpoint
-{
-    bool valid = false;    //!< holds a resumable state
-    int iterationsDone = 0;
-    double rr = 0.0;       //!< r'r of the saved residual
-    double bNorm = 0.0;
-    std::vector<double> x; //!< iterate at the yield boundary
-    std::vector<double> r; //!< residual
-    std::vector<double> p; //!< search direction
-    /** Kernel tallies of the completed segments, folded into the
-     *  final SolverResult so it matches an uninterrupted run. */
-    std::uint64_t spmvCalls = 0;
-    std::uint64_t dotCalls = 0;
-    std::uint64_t axpyCalls = 0;
-
-    void
-    reset()
-    {
-        *this = SolverCheckpoint{};
-    }
-};
-
 struct SolverConfig
 {
     double tolerance = 1e-10;  //!< relative residual target
@@ -211,14 +180,6 @@ struct SolverConfig
      * nullptr (the default) adds no per-iteration cost.
      */
     const ExecContext *exec = nullptr;
-    /**
-     * Optional preemption checkpoint sink/source (CG only). Non-null
-     * enables cooperative yield: exec->yieldRequested() is honored
-     * at iteration boundaries (see SolverCheckpoint). A valid
-     * checkpoint resumes the saved recurrence instead of starting
-     * from x. Not owned.
-     */
-    SolverCheckpoint *checkpoint = nullptr;
 };
 
 /**
@@ -276,9 +237,155 @@ struct SolverResult
     RecoveryStats recovery;
 };
 
+/**
+ * RAII: attach an execution context to an operator for the duration
+ * of one solve, so block-batched operators (accel/, fault/) poll it
+ * mid-apply, and detach on exit -- the context may not outlive the
+ * operator. No virtual call when @p ctx is null. Every solver in
+ * solver/ binds through this one class.
+ */
+class ExecBinding
+{
+  public:
+    ExecBinding(LinearOperator &op, const ExecContext *ctx)
+        : a(op), bound(ctx != nullptr)
+    {
+        if (bound)
+            a.setExecContext(ctx);
+    }
+
+    ~ExecBinding()
+    {
+        if (bound)
+            a.setExecContext(nullptr);
+    }
+
+    ExecBinding(const ExecBinding &) = delete;
+    ExecBinding &operator=(const ExecBinding &) = delete;
+
+  private:
+    LinearOperator &a;
+    bool bound;
+};
+
+class Preconditioner; // solver/precond.hh
+
+/**
+ * One conjugate-gradient recurrence (paper Section II-B), kept as an
+ * object so it can be paused and resumed: the state IS the
+ * checkpoint.
+ *
+ * It holds the iterate x (the caller's storage), the residual r, the
+ * search direction p, the scalars r'z and ||b||, the iteration count
+ * and the kernel tallies, all ending in result(). Without a
+ * preconditioner z is r, and the residual norm is sqrt(r'r) -- plain
+ * CG. With one, z = M^-1 r and ||r|| is one more dot per iteration
+ * -- PCG. r, p, A p (and z) come from a SolverWorkspace, so repeated
+ * solves reuse their storage and the chaos allocation hook sees every
+ * grant.
+ *
+ * runCg() advances states; resuming a parked (Preempted) state is
+ * calling runCg() on it again: nothing is copied, and the resumed
+ * iterations run the same arithmetic in the same order as an
+ * uninterrupted solve, so every bit of the result matches.
+ *
+ * Not copyable or movable: the workspace vectors it refers to may be
+ * its own.
+ */
+class CgState
+{
+  public:
+    /**
+     * Bind a recurrence to A x = b. @p b and @p x (the initial guess,
+     * then every iterate) are not owned and must outlive the state,
+     * as must @p m and @p ws when given. @p cfg supplies the
+     * tolerance, the iteration budget and the optional ExecContext.
+     * Without @p ws the state keeps its own workspace.
+     */
+    CgState(std::span<const double> b, std::span<double> x,
+            const SolverConfig &cfg = {},
+            const Preconditioner *m = nullptr,
+            SolverWorkspace *ws = nullptr);
+
+    CgState(const CgState &) = delete;
+    CgState &operator=(const CgState &) = delete;
+
+    /** Terminal: converged, out of budget, broken down, cancelled
+     *  or past its deadline. A parked state is not done. */
+    bool done() const { return finished; }
+
+    /** The solve so far. Once done() this is the final record; a
+     *  parked state reports status Preempted with the iterations
+     *  and tallies of the segments run. */
+    const SolverResult &result() const { return res; }
+
+  private:
+    friend void runCg(LinearOperator &a,
+                      std::span<CgState *const> states);
+
+    double residualNorm() const;
+    void start();
+    bool stopped();
+    bool ready(bool mayYield);
+    void step();
+    void finish(SolveStatus stop);
+    void interrupt(SolveStatus stop);
+
+    SolverWorkspace own;
+    std::span<const double> b;
+    std::span<double> x;
+    SolverConfig cfg;
+    const Preconditioner *precond;
+    std::span<double> r, p, ap, z;
+    double rz = 0.0;    //!< r'z (r'r without a preconditioner)
+    double rNorm = 0.0; //!< ||r||, kept only with a preconditioner
+    double bNorm = 0.0;
+    SolverResult res;
+    bool started = false;  //!< initial residual computed
+    bool finished = false; //!< terminal
+    bool live = false;     //!< takes part in the driver's next apply
+};
+
+/**
+ * The CG driver: advance k >= 1 states over operator @p a, ONE
+ * applyBatch per iteration covering every live state. Each state
+ * runs exactly the scalar recurrence of a solo solve, and applyBatch
+ * is pinned bitwise to k sequential applies, so every state ends
+ * with the bits it would have alone. States terminate one by one
+ * and leave the panel; a finished state passed in again is skipped.
+ *
+ * Per state, in this order: a fresh state polls its context and
+ * computes r = b - A x; then at every loop head the iteration budget,
+ * the convergence test and one context poll decide whether it takes
+ * the next apply. A stopped state keeps its last completed iterate.
+ *
+ * k == 1 (solo) binds the state's ExecContext to the operator, so a
+ * stop lands mid-apply, applies straight from the state's vectors,
+ * opens the `solver.cg` span, and honors a yield request at the loop
+ * head by returning with the state parked (status Preempted). k > 1
+ * (a coalesced panel) packs the live columns for each applyBatch,
+ * binds no context -- one request's stop must not abort its
+ * siblings' apply -- never yields, and opens one
+ * `solver.lockstep_cg` span.
+ */
+void runCg(LinearOperator &a, std::span<CgState *const> states);
+
+/** Solo runCg(): advance @p s alone and return its result. */
+inline const SolverResult &
+runCg(LinearOperator &a, CgState &s)
+{
+    CgState *const one[] = {&s};
+    runCg(a, one);
+    return s.result();
+}
+
 /** Conjugate gradient; requires a symmetric positive definite A.
- *  An optional workspace reuses the solver's scratch vectors
- *  across calls (results are identical either way). */
+ *  A solo runCg() over a fresh CgState. An optional workspace
+ *  reuses the solver's scratch vectors across calls (results are
+ *  identical either way). A yield requested on cfg.exec stops the
+ *  solve at the next iteration boundary with status Preempted and
+ *  the last iterate in x; resuming needs a CgState that outlives
+ *  the call. */
 SolverResult conjugateGradient(LinearOperator &a,
                                std::span<const double> b,
                                std::span<double> x,

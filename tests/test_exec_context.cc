@@ -20,6 +20,7 @@
 #include "fault/chaos.hh"
 #include "fault/faulty_operator.hh"
 #include "runtime/exec_context.hh"
+#include "solver/precond.hh"
 #include "solver/resilient.hh"
 #include "solver/solver.hh"
 #include "solver/stationary.hh"
@@ -175,8 +176,9 @@ TEST(ExecSolvers, ExpiredDeadlineStopsEveryKrylovKind)
     cfg.tolerance = 1e-10;
     cfg.exec = &ctx;
 
+    const JacobiPreconditioner jacobi(m);
     std::vector<double> x(n, 0.0);
-    for (int kindIdx = 0; kindIdx < 4; ++kindIdx) {
+    for (int kindIdx = 0; kindIdx < 5; ++kindIdx) {
         std::fill(x.begin(), x.end(), 0.0);
         SolverResult r;
         switch (kindIdx) {
@@ -189,8 +191,11 @@ TEST(ExecSolvers, ExpiredDeadlineStopsEveryKrylovKind)
           case 2:
             r = biCg(op, b, x, cfg);
             break;
-          default:
+          case 3:
             r = gmres(op, b, x, cfg, 30);
+            break;
+          default:
+            r = preconditionedCg(op, jacobi, b, x, cfg);
             break;
         }
         EXPECT_EQ(r.status, SolveStatus::DeadlineExceeded)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Solver-as-a-service runtime tests (service/service.hh +
- * service/scheduler.hh + service/prepare_cache.hh), plus the
- * lockstep multi-RHS CG the coalescer dispatches into
- * (solver/block.hh).
+ * service/scheduler.hh + service/prepare_cache.hh), plus the CG
+ * panel the coalescer dispatches into (runCg() over k CgStates,
+ * solver/solver.hh).
  *
  * The contracts pinned here:
  *   - a coalesced request returns exactly the bits a solo solve
@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -50,7 +51,6 @@
 #include "service/prepare_cache.hh"
 #include "service/scheduler.hh"
 #include "service/service.hh"
-#include "solver/block.hh"
 #include "solver/resilient.hh"
 #include "solver/solver.hh"
 #include "sparse/binio.hh"
@@ -129,7 +129,33 @@ expectBitwiseEqual(std::span<const double> a,
         ASSERT_EQ(a[i], b[i]) << what << ": component " << i;
 }
 
-// --- lockstep multi-RHS CG (the coalescer's solve kernel) -----------
+// --- CG panels: runCg() over k states (the coalescer's solve) --------
+
+/** Advance k independent CG states over @p op in one runCg() panel:
+ *  column c solves from X's column c under cfgs[c] (default config
+ *  when @p cfgs is empty). */
+std::vector<SolverResult>
+panelCg(LinearOperator &op, std::span<const double> B,
+        std::span<double> X, unsigned k,
+        std::span<const SolverConfig> cfgs = {})
+{
+    const auto n = static_cast<std::size_t>(op.rows());
+    std::vector<std::unique_ptr<CgState>> states;
+    std::vector<CgState *> panel;
+    for (unsigned c = 0; c < k; ++c) {
+        states.push_back(std::make_unique<CgState>(
+            B.subspan(c * n, n), X.subspan(c * n, n),
+            cfgs.empty() ? SolverConfig{} : cfgs[c]));
+        panel.push_back(states.back().get());
+    }
+    runCg(op, panel);
+    std::vector<SolverResult> results;
+    for (const auto &s : states) {
+        EXPECT_TRUE(s->done());
+        results.push_back(s->result());
+    }
+    return results;
+}
 
 TEST(ServiceLockstep, MatchesStandaloneCgBitwise)
 {
@@ -145,7 +171,7 @@ TEST(ServiceLockstep, MatchesStandaloneCgBitwise)
 
     ClusterArithmeticOperator op(m, BlockingConfig{},
                                  ClusterConfig{});
-    const auto results = lockstepConjugateGradient(op, B, X, k);
+    const auto results = panelCg(op, B, X, k);
     ASSERT_EQ(results.size(), k);
 
     for (unsigned c = 0; c < k; ++c) {
@@ -181,13 +207,13 @@ TEST(ServiceLockstep, PerColumnControlsHonored)
         std::copy(b.begin(), b.end(), B.begin() + c * n);
     }
 
-    std::vector<LockstepColumnControl> ctl(k);
+    std::vector<SolverConfig> ctl(k);
     ctl[0].tolerance = 1e-4; //!< loose: stops early
     ctl[1].maxIterations = 2;
     ctl[2].tolerance = 1e-10;
 
     CsrOperator op(m);
-    const auto results = lockstepConjugateGradient(op, B, X, k, ctl);
+    const auto results = panelCg(op, B, X, k, ctl);
     ASSERT_EQ(results.size(), k);
 
     EXPECT_EQ(results[0].status, SolveStatus::Converged);
@@ -225,7 +251,7 @@ TEST(ServiceLockstep, ZeroRhsColumnConvergesImmediately)
     std::copy(b1.begin(), b1.end(), B.begin() + n);
 
     CsrOperator op(m);
-    const auto results = lockstepConjugateGradient(op, B, X, k);
+    const auto results = panelCg(op, B, X, k);
     EXPECT_EQ(results[0].status, SolveStatus::Converged);
     EXPECT_EQ(results[0].iterations, 0);
     for (std::size_t i = 0; i < n; ++i)
@@ -253,11 +279,11 @@ TEST(ServiceLockstep, CancelledColumnLeavesSiblingsBitwise)
 
     ExecContext cancelCtx;
     cancelCtx.cancelAfterChecks(5);
-    std::vector<LockstepColumnControl> ctl(k);
+    std::vector<SolverConfig> ctl(k);
     ctl[1].exec = &cancelCtx;
 
     CsrOperator op(m);
-    const auto results = lockstepConjugateGradient(op, B, X, k, ctl);
+    const auto results = panelCg(op, B, X, k, ctl);
 
     EXPECT_EQ(results[1].status, SolveStatus::Cancelled);
     EXPECT_FALSE(results[1].converged);

@@ -1,12 +1,17 @@
 /**
  * @file
- * Tests for the Krylov solvers (CG, BiCG-STAB, GMRES).
+ * Tests for the Krylov solvers (CG, BiCG-STAB, GMRES), and for the
+ * resumable CG state: a solve parked at any iteration boundary and
+ * resumed is bitwise the uninterrupted solve.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "runtime/exec_context.hh"
+#include "solver/precond.hh"
 #include "solver/solver.hh"
 #include "sparse/gen.hh"
 #include "util/logging.hh"
@@ -385,6 +390,105 @@ TEST(SolverBiCgStab, SingularSystemNeverProducesNan)
     EXPECT_TRUE(std::isfinite(r.relResidual));
     for (double v : x)
         EXPECT_TRUE(std::isfinite(v));
+}
+
+void
+expectSameSolve(const SolverResult &got, const SolverResult &want,
+                std::span<const double> x, std::span<const double> xRef,
+                const std::string &what)
+{
+    EXPECT_EQ(got.status, want.status) << what;
+    EXPECT_EQ(got.converged, want.converged) << what;
+    EXPECT_EQ(got.iterations, want.iterations) << what;
+    EXPECT_EQ(got.relResidual, want.relResidual) << what;
+    EXPECT_EQ(got.spmvCalls, want.spmvCalls) << what;
+    EXPECT_EQ(got.dotCalls, want.dotCalls) << what;
+    EXPECT_EQ(got.axpyCalls, want.axpyCalls) << what;
+    EXPECT_EQ(got.precondApplies, want.precondApplies) << what;
+    ASSERT_EQ(x.size(), xRef.size()) << what;
+    for (std::size_t i = 0; i < x.size(); ++i)
+        ASSERT_EQ(x[i], xRef[i]) << what << ": component " << i;
+}
+
+TEST(CgPreempt, YieldAtEveryBoundaryResumesBitwise)
+{
+    const Csr a = spdMatrix(96, 131);
+    CsrOperator op(a);
+    const JacobiPreconditioner jacobi(a);
+    std::vector<double> b(96);
+    Rng rng(17);
+    for (double &v : b)
+        v = rng.uniform(-1.0, 1.0);
+
+    for (const Preconditioner *m :
+         {static_cast<const Preconditioner *>(nullptr),
+          static_cast<const Preconditioner *>(&jacobi)}) {
+        std::vector<double> xRef(b.size(), 0.0);
+        CgState whole(b, xRef, {}, m);
+        const SolverResult ref = runCg(op, whole);
+        ASSERT_TRUE(ref.converged);
+        ASSERT_GT(ref.iterations, 8);
+
+        // Poll 1 is the initial one and poll j + 2 the loop head of
+        // iteration j, so the yield lands at boundary j. At j = N the
+        // solve converges before it polls, so it never parks.
+        for (int j = 0; j <= ref.iterations; ++j) {
+            const std::string what =
+                std::string(m ? "pcg" : "cg") + " yield at " +
+                std::to_string(j);
+            ExecContext ctx;
+            ctx.yieldAfterChecks(static_cast<std::uint64_t>(j) + 2);
+            SolverConfig cfg;
+            cfg.exec = &ctx;
+            std::vector<double> x(b.size(), 0.0);
+            CgState state(b, x, cfg, m);
+            const SolverResult first = runCg(op, state);
+            if (j < ref.iterations) {
+                ASSERT_EQ(first.status, SolveStatus::Preempted)
+                    << what;
+                ASSERT_FALSE(state.done()) << what;
+                EXPECT_EQ(first.iterations, j) << what;
+                ctx.clearYield();
+                runCg(op, state);
+            }
+            ASSERT_TRUE(state.done()) << what;
+            expectSameSolve(state.result(), ref, x, xRef, what);
+        }
+    }
+}
+
+TEST(CgPreempt, CancelWhileParkedKeepsLastIterate)
+{
+    const Csr a = spdMatrix(96, 137);
+    CsrOperator op(a);
+    const std::vector<double> b(96, 1.0);
+    constexpr int parkAt = 4;
+
+    // The iterate after parkAt iterations, from a capped solve.
+    SolverConfig capped;
+    capped.maxIterations = parkAt;
+    std::vector<double> xRef(b.size(), 0.0);
+    const SolverResult ref = conjugateGradient(op, b, xRef, capped);
+    ASSERT_EQ(ref.status, SolveStatus::MaxIterations);
+
+    ExecContext ctx;
+    ctx.yieldAfterChecks(parkAt + 2);
+    SolverConfig cfg;
+    cfg.exec = &ctx;
+    std::vector<double> x(b.size(), 0.0);
+    CgState state(b, x, cfg);
+    ASSERT_EQ(runCg(op, state).status, SolveStatus::Preempted);
+
+    ctx.clearYield();
+    ctx.token().cancel();
+    const SolverResult r = runCg(op, state);
+    EXPECT_TRUE(state.done());
+    EXPECT_EQ(r.status, SolveStatus::Cancelled);
+    EXPECT_FALSE(r.converged);
+    EXPECT_EQ(r.iterations, parkAt);
+    EXPECT_EQ(r.relResidual, ref.relResidual);
+    for (std::size_t i = 0; i < x.size(); ++i)
+        ASSERT_EQ(x[i], xRef[i]) << "component " << i;
 }
 
 } // namespace
