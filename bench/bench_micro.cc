@@ -324,7 +324,8 @@ BENCHMARK(bmBlockingPreprocess);
 /** Cold/warm artifact fixture: the tiled8192 matrix written once as
  *  Matrix Market text next to its packed sidecar, so bmColdStart and
  *  bmBinioLoad time the two halves of the same load against the same
- *  bytes. Files live for the process; successive runs overwrite. */
+ *  bytes; bmMatrixMarketRead times the parse inside bmColdStart.
+ *  Files live for the process; successive runs overwrite. */
 struct ColdWarmFixture
 {
     std::string mtxPath;
@@ -367,6 +368,24 @@ bmColdStart(benchmark::State &state)
     state.SetLabel("tiled8192");
 }
 BENCHMARK(bmColdStart);
+
+/** Text parse alone: readMatrixMarket on the bmColdStart file, so
+ *  the tokenizer and CSR assembly show without planBlocks. */
+void
+bmMatrixMarketRead(benchmark::State &state)
+{
+    const ColdWarmFixture &fx = coldWarmFixture();
+    std::size_t nnz = 0;
+    for (auto _ : state) {
+        const Csr m = readMatrixMarket(fx.mtxPath);
+        nnz = m.nnz();
+        benchmark::DoNotOptimize(m.values().data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(nnz));
+    state.SetLabel("tiled8192");
+}
+BENCHMARK(bmMatrixMarketRead);
 
 /** Warm start: map the packed sidecar and decode the stored plan --
  *  the artifact fast path of loadMatrixFile. Validation (checksum

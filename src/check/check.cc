@@ -1,8 +1,10 @@
 #include "check/check.hh"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 
@@ -71,6 +73,23 @@ bitEqual(double a, double b)
            std::bit_cast<std::uint64_t>(b);
 }
 
+bool
+sameCsrBits(const Csr &a, const Csr &b)
+{
+    if (a.rows() != b.rows() || a.cols() != b.cols() ||
+        a.nnz() != b.nnz())
+        return false;
+    const auto arp = a.rowPtr(), brp = b.rowPtr();
+    const auto aci = a.colIndex(), bci = b.colIndex();
+    const auto av = a.values(), bv = b.values();
+    return std::equal(arp.begin(), arp.end(), brp.begin(),
+                      brp.end()) &&
+           std::equal(aci.begin(), aci.end(), bci.begin(),
+                      bci.end()) &&
+           (av.empty() ||
+            std::memcmp(av.data(), bv.data(), av.size_bytes()) == 0);
+}
+
 std::uint64_t
 ulpDistance(double a, double b)
 {
@@ -106,6 +125,7 @@ makeModules()
     addSpmmChecks(mods);
     addSolverChecks(mods);
     addBinioChecks(mods);
+    addMmioChecks(mods);
     return mods;
 }
 

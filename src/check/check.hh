@@ -24,6 +24,9 @@
  *              (sparse/binio, blocking/stream) vs the in-core
  *              parse + planBlocks path, bitwise, plus corrupted
  *              artifacts failing structurally
+ *   mmio     - Matrix Market tokenizer and Csr::fromCoo vs the
+ *              istringstream walk and stable-sort assembly kept in
+ *              mm_oracle.hh, bitwise, reject for reject
  *
  * Determinism contract: every iteration of every module draws from
  * an Rng seeded purely by (run seed, module name, iteration index).
@@ -41,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "sparse/csr.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 
@@ -151,6 +155,7 @@ void addAccelChecks(std::vector<Module> &out);
 void addSpmmChecks(std::vector<Module> &out);
 void addSolverChecks(std::vector<Module> &out);
 void addBinioChecks(std::vector<Module> &out);
+void addMmioChecks(std::vector<Module> &out);
 
 /** All registered modules, in fixed report order. */
 std::vector<Module> makeModules();
@@ -175,6 +180,9 @@ std::uint64_t ulpDistance(double a, double b);
 
 /** Bitwise double equality (0.0 vs -0.0 must not slip through). */
 bool bitEqual(double a, double b);
+
+/** Bitwise Csr equality: shape, row pointers, columns, value bits. */
+bool sameCsrBits(const Csr &a, const Csr &b);
 
 } // namespace msc::check
 

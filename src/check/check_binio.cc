@@ -54,24 +54,6 @@ scratchPath(std::uint64_t iter)
 }
 
 bool
-sameCsr(const Csr &a, const Csr &b)
-{
-    if (a.rows() != b.rows() || a.cols() != b.cols() ||
-        a.nnz() != b.nnz())
-        return false;
-    const auto arp = a.rowPtr(), brp = b.rowPtr();
-    const auto aci = a.colIndex(), bci = b.colIndex();
-    const auto av = a.values(), bv = b.values();
-    return std::memcmp(arp.data(), brp.data(),
-                       arp.size_bytes()) == 0 &&
-           (a.nnz() == 0 ||
-            (std::memcmp(aci.data(), bci.data(),
-                         aci.size_bytes()) == 0 &&
-             std::memcmp(av.data(), bv.data(),
-                         av.size_bytes()) == 0));
-}
-
-bool
 samePlan(const BlockPlan &a, const BlockPlan &b)
 {
     if (a.rows != b.rows || a.cols != b.cols ||
@@ -94,7 +76,7 @@ samePlan(const BlockPlan &a, const BlockPlan &b)
                         x.elems.size() * sizeof(Triplet)) != 0)
             return false;
     }
-    return sameCsr(a.unblocked, b.unblocked);
+    return sameCsrBits(a.unblocked, b.unblocked);
 }
 
 void
@@ -162,7 +144,7 @@ iterate(Context &ctx)
     writeArtifact(path, m, withPlan ? &incore : nullptr, cfg);
     try {
         const auto art = MappedArtifact::map(path);
-        ctx.expect(sameCsr(art->matrixView(), m),
+        ctx.expect(sameCsrBits(art->matrixView(), m),
                    "mapped matrix differs from source");
         ctx.expect(art->matrixKey() == csrContentKey(m),
                    "stored matrix key differs from csrContentKey");
@@ -206,7 +188,7 @@ iterate(Context &ctx)
         // Only a flip in alignment padding may map benignly: the
         // checksum covers the header's semantic fields and every
         // section byte, so whatever maps is the same matrix.
-        ctx.expect(sameCsr(art->matrixView(), m),
+        ctx.expect(sameCsrBits(art->matrixView(), m),
                    "corrupted artifact mapped to different matrix");
         if (art->hasPlan())
             (void)art->decodePlan(); // must not crash

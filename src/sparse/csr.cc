@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -129,39 +129,70 @@ Csr::fromCoo(const Coo &coo)
         }
     }
 
-    std::vector<std::size_t> order(coo.entries.size());
-    std::iota(order.begin(), order.end(), 0);
-    // stable_sort: duplicates accumulate in insertion order, so a
-    // symmetric emission (v at (r,c) and at (c,r)) sums in the same
-    // order on both sides and stays bit-identical.
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         const auto &ea = coo.entries[a];
-                         const auto &eb = coo.entries[b];
-                         if (ea.row != eb.row)
-                             return ea.row < eb.row;
-                         return ea.col < eb.col;
-                     });
+    // Counting sort by row, stable: each row's entries land in
+    // insertion order. rowStore[r + 1] first counts row r, then
+    // (shifted prefix sum) serves as row r's fill cursor, ending at
+    // row r's end -- which is row r + 1's start.
+    const std::size_t rows = static_cast<std::size_t>(coo.rows);
+    m.rowStore.assign(rows + 1, 0);
+    for (const auto &t : coo.entries)
+        ++m.rowStore[static_cast<std::size_t>(t.row) + 1];
+    std::int64_t start = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::int64_t count = m.rowStore[r + 1];
+        m.rowStore[r + 1] = start;
+        start += count;
+    }
+    m.colStore.resize(coo.entries.size());
+    m.valStore.resize(coo.entries.size());
+    for (const auto &t : coo.entries) {
+        const auto k = static_cast<std::size_t>(
+            m.rowStore[static_cast<std::size_t>(t.row) + 1]++);
+        m.colStore[k] = t.col;
+        m.valStore[k] = t.val;
+    }
 
-    m.rowStore.assign(static_cast<std::size_t>(coo.rows) + 1, 0);
-    m.colStore.reserve(coo.entries.size());
-    m.valStore.reserve(coo.entries.size());
-
-    for (std::size_t k = 0; k < order.size(); ++k) {
-        const Triplet &t = coo.entries[order[k]];
-        if (k > 0) {
-            const Triplet &prev = coo.entries[order[k - 1]];
-            if (prev.row == t.row && prev.col == t.col) {
-                m.valStore.back() += t.val; // duplicate: accumulate
-                continue;
+    // Order each row by column, stably, so duplicates accumulate in
+    // insertion order and a symmetric emission (v at (r,c) and at
+    // (c,r)) sums in the same order on both sides, bit-identical.
+    // Rows that already ascend -- all of them for a file
+    // writeMatrixMarket wrote, or for transpose() -- skip the sort.
+    // Duplicates then fold into their first slot, compacting the
+    // arrays in place.
+    std::vector<std::pair<std::int32_t, double>> sorted;
+    std::size_t w = 0;
+    std::size_t begin = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+        const auto end = static_cast<std::size_t>(m.rowStore[r + 1]);
+        if (!std::is_sorted(m.colStore.begin() + begin,
+                            m.colStore.begin() + end)) {
+            sorted.clear();
+            for (std::size_t k = begin; k < end; ++k)
+                sorted.emplace_back(m.colStore[k], m.valStore[k]);
+            std::stable_sort(sorted.begin(), sorted.end(),
+                             [](const auto &a, const auto &b) {
+                                 return a.first < b.first;
+                             });
+            for (std::size_t k = begin; k < end; ++k) {
+                m.colStore[k] = sorted[k - begin].first;
+                m.valStore[k] = sorted[k - begin].second;
             }
         }
-        m.colStore.push_back(t.col);
-        m.valStore.push_back(t.val);
-        m.rowStore[static_cast<std::size_t>(t.row) + 1] += 1;
+        const std::size_t rowStart = w;
+        for (std::size_t k = begin; k < end; ++k) {
+            if (w > rowStart && m.colStore[w - 1] == m.colStore[k]) {
+                m.valStore[w - 1] += m.valStore[k]; // duplicate
+                continue;
+            }
+            m.colStore[w] = m.colStore[k];
+            m.valStore[w] = m.valStore[k];
+            ++w;
+        }
+        m.rowStore[r + 1] = static_cast<std::int64_t>(w);
+        begin = end;
     }
-    for (std::size_t r = 0; r < static_cast<std::size_t>(coo.rows); ++r)
-        m.rowStore[r + 1] += m.rowStore[r];
+    m.colStore.resize(w);
+    m.valStore.resize(w);
     m.rebind();
     return m;
 }

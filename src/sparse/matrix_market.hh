@@ -20,6 +20,14 @@
  * non-comment garbage after the declared entry count is rejected --
  * it usually means a concatenated or corrupted download, and
  * silently ignoring it would hide real data loss.
+ *
+ * Speed: the header is read with std::getline; the entry lines,
+ * which are nearly all of a file, go through one tokenizer that
+ * reads the stream in fixed-size chunks into a bounded buffer,
+ * splits lines with memchr and converts tokens with std::from_chars.
+ * It accepts exactly what `std::istream >>` extraction accepted, with
+ * the same bits and the same errors; that walk survives as the
+ * differential oracle in check/mm_oracle.hh (DESIGN.md section 2k).
  */
 
 #ifndef MSC_SPARSE_MATRIX_MARKET_HH

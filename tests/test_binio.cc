@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,7 @@
 
 #include "blocking/blocking.hh"
 #include "blocking/stream.hh"
+#include "check/mm_oracle.hh"
 #include "service/prepare_cache.hh"
 #include "solver/solver.hh"
 #include "sparse/binio.hh"
@@ -260,6 +262,60 @@ TEST(OutOfCoreStreaming, MatrixMarketSourceMatchesParse)
     const BlockPlan streamed = planBlocksStreaming(
         m.rows(), m.cols(), matrixMarketEntrySource(f.path), cfg);
     expectSamePlan(streamed, incore);
+}
+
+TEST(OutOfCoreStreaming, SymmetricCrlfFileMatchesParseBitwise)
+{
+    // A symmetric file in lower-triangle column order with CRLF
+    // endings, comments, blank lines and tab separators. Every strip
+    // pass re-reads it through the same entry walk as the in-core
+    // parse, so the plans must agree bit for bit -- and the parse
+    // must match the istringstream oracle.
+    const Csr m = smallSpd(29, 96);
+    const Csr byCol = m.transpose(); // row c lists column c of m
+    std::size_t lower = 0;
+    for (std::int32_t c = 0; c < byCol.rows(); ++c) {
+        for (const std::int32_t r : byCol.rowCols(c))
+            lower += r >= c;
+    }
+    std::string text =
+        "%%MatrixMarket matrix coordinate real symmetric\r\n"
+        "% hand-written\r\n" +
+        std::to_string(m.rows()) + " " + std::to_string(m.cols()) +
+        " " + std::to_string(lower) + "\r\n";
+    std::size_t k = 0;
+    char value[40];
+    for (std::int32_t c = 0; c < byCol.rows(); ++c) {
+        const auto rows = byCol.rowCols(c);
+        const auto vals = byCol.rowVals(c);
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            if (rows[i] < c)
+                continue;
+            std::snprintf(value, sizeof value, "%.17g", vals[i]);
+            text += std::to_string(rows[i] + 1) + "\t" +
+                    std::to_string(c + 1) + " " + value + "\r\n";
+            if (++k % 7 == 0)
+                text += "% every seventh entry\r\n\r\n";
+        }
+    }
+    Scratch f(tmpPath("stream_symmetric_crlf.mtx"));
+    {
+        std::ofstream out(f.path, std::ios::binary);
+        out << text;
+    }
+
+    const Csr parsed = readMatrixMarket(f.path);
+    std::istringstream oracleIn(text);
+    ASSERT_TRUE(check::sameCsrBits(
+        parsed, check::readMatrixMarketByExtraction(oracleIn)));
+    ASSERT_EQ(parsed.nnz(), m.nnz());
+
+    BlockingConfig cfg;
+    const BlockPlan incore = planBlocks(parsed, cfg);
+    expectSamePlan(planBlocksStreaming(parsed.rows(), parsed.cols(),
+                                       matrixMarketEntrySource(f.path),
+                                       cfg),
+                   incore);
 }
 
 TEST(OutOfCoreStreaming, RejectsIllegalStripHeight)

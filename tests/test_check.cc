@@ -176,13 +176,14 @@ TEST(CheckHarness, UlpDistanceIsAMetricOnDoubles)
     EXPECT_EQ(check::ulpDistance(-0x1.0p-1074, 0x1.0p-1074), 2u);
 }
 
-TEST(CheckHarness, ListsAllEightLayers)
+TEST(CheckHarness, ListsAllLayers)
 {
     const auto names = check::moduleNames();
-    ASSERT_EQ(names.size(), 8u);
+    ASSERT_EQ(names.size(), 9u);
     const std::set<std::string> set(names.begin(), names.end());
     for (const char *expect : {"wideint", "align", "xbar", "cluster",
-                               "accel", "spmm", "solver", "binio"})
+                               "accel", "spmm", "solver", "binio",
+                               "mmio"})
         EXPECT_TRUE(set.count(expect)) << expect;
 }
 
@@ -208,5 +209,6 @@ TEST(CheckModules, AccelGreen) { expectClean("accel", 4); }
 TEST(CheckModules, SpmmGreen) { expectClean("spmm", 8); }
 TEST(CheckModules, SolverGreen) { expectClean("solver", 12); }
 TEST(CheckModules, BinioGreen) { expectClean("binio", 40); }
+TEST(CheckModules, MmioGreen) { expectClean("mmio", 200); }
 
 } // namespace

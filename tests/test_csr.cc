@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
+#include "check/mm_oracle.hh"
 #include "sparse/csr.hh"
 #include "sparse/matrix_market.hh"
 #include "sparse/stats.hh"
@@ -80,6 +82,94 @@ TEST(Csr, FromCooRejectsOutOfRange)
     coo.rows = coo.cols = 2;
     coo.add(2, 0, 1.0);
     EXPECT_THROW(Csr::fromCoo(coo), FatalError);
+}
+
+/** Values whose sums depend on the order they are added in. */
+double
+orderSensitiveValue(Rng &rng)
+{
+    static const double pool[] = {1e16, -1e16, 1.0, 0.1, -0.3, 3e-17,
+                                  -0.0, 2.5};
+    return pool[rng.below(sizeof pool / sizeof pool[0])] *
+           (rng.below(2) ? 1.0 : rng.uniform(0.5, 2.0));
+}
+
+TEST(Csr, FromCooMatchesStableSortAssembly)
+{
+    // The counting-sort assembly must reproduce the stable-sort one
+    // bit for bit: same layout, duplicates summed in insertion order.
+    Rng rng(0xc00c);
+    for (int round = 0; round < 200; ++round) {
+        const auto rows = static_cast<std::int32_t>(rng.range(0, 40));
+        const auto cols = static_cast<std::int32_t>(rng.range(1, 40));
+        Coo coo{rows, cols, {}};
+        if (rows > 0) {
+            // Shuffled entries over few coordinates: many repeated
+            // duplicates, most rows out of column order, and every
+            // other round a few long rows (past the small-input
+            // cutoff where std::sort is insertion sort, so stable).
+            const std::size_t n = rng.below(6 * rows + 1);
+            const auto span = static_cast<std::int32_t>(
+                rng.range(1, cols));
+            const std::int32_t rowSpan =
+                round % 2 ? std::min(rows, 2) : rows;
+            for (std::size_t k = 0; k < n; ++k) {
+                coo.add(static_cast<std::int32_t>(rng.below(rowSpan)),
+                        static_cast<std::int32_t>(rng.below(span)),
+                        orderSensitiveValue(rng));
+            }
+        }
+        EXPECT_TRUE(check::sameCsrBits(Csr::fromCoo(coo),
+                                       check::assembleByStableSort(coo)))
+            << "round " << round;
+    }
+}
+
+TEST(Csr, FromCooSymmetricEmissionStaysBitIdentical)
+{
+    // A symmetric emission adds v at (r,c) and at (c,r); with
+    // repeated duplicates in shuffled order both sides must still
+    // sum in the same order, leaving A == A^T exactly.
+    Rng rng(0xc00d);
+    for (int round = 0; round < 100; ++round) {
+        const auto n = static_cast<std::int32_t>(rng.range(1, 24));
+        Coo coo{n, n, {}};
+        const std::size_t pairs = rng.below(8 * n + 1);
+        for (std::size_t k = 0; k < pairs; ++k) {
+            const auto r = static_cast<std::int32_t>(rng.below(n));
+            const auto c = static_cast<std::int32_t>(rng.below(n));
+            const double v = orderSensitiveValue(rng);
+            coo.add(r, c, v);
+            if (r != c)
+                coo.add(c, r, v);
+        }
+        const Csr m = Csr::fromCoo(coo);
+        ASSERT_TRUE(check::sameCsrBits(m, check::assembleByStableSort(coo)))
+            << "round " << round;
+        EXPECT_TRUE(check::sameCsrBits(m, m.transpose()))
+            << "round " << round;
+    }
+}
+
+TEST(Csr, FromCooSortedAndTransposedInputs)
+{
+    // Already-ascending rows (writeMatrixMarket order, transpose())
+    // take the no-sort path; the result must not differ.
+    Rng rng(0xc00e);
+    Coo coo{30, 20, {}};
+    for (std::int32_t r = 0; r < 30; ++r) {
+        for (std::int32_t c = 0; c < 20; ++c) {
+            if (rng.below(3) == 0)
+                coo.add(r, c, rng.uniform(-1.0, 1.0));
+        }
+    }
+    const Csr m = Csr::fromCoo(coo);
+    EXPECT_TRUE(check::sameCsrBits(m, check::assembleByStableSort(coo)));
+    Coo flipped{20, 30, {}};
+    for (const Triplet &t : coo.entries)
+        flipped.add(t.col, t.row, t.val);
+    EXPECT_TRUE(check::sameCsrBits(m.transpose(),
+                                   check::assembleByStableSort(flipped)));
 }
 
 TEST(Csr, EmptyRowsAreHandled)

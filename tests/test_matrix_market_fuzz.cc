@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "check/mm_oracle.hh"
 #include "sparse/gen.hh"
 #include "sparse/matrix_market.hh"
 #include "util/logging.hh"
@@ -510,6 +512,299 @@ TEST(MatrixMarketFuzz, MutatedValidFilesNeverCrash)
         // Truncation at every kind of boundary.
         mustNotCrash(s.substr(0, rng.below(s.size() + 1)));
     }
+}
+
+// --- tokenizer vs stream extraction --------------------------------
+//
+// The entry walk tokenizes with std::from_chars; the retired
+// getline + istringstream `>>` walk (check/mm_oracle.hh) is the
+// oracle. Every comparison covers accept/reject, entry bits, and on
+// rejection the reason, progress and message text.
+
+using check::MmOutcome;
+
+/** Header with the widest legal dimensions, so every index that
+ *  fits int32 reaches the sink instead of the range check. */
+MatrixMarketHeader
+wideHeader(bool pattern = false, bool skew = false)
+{
+    MatrixMarketHeader h;
+    h.rows = h.cols = 0x7fffffff;
+    h.declaredEntries = 1;
+    h.pattern = pattern;
+    h.symmetric = h.skewSymmetric = skew;
+    return h;
+}
+
+MmOutcome
+walkTokenizer(const std::string &text, const MatrixMarketHeader &h)
+{
+    return check::captureWalk([&](const check::MmSink &sink) {
+        std::istringstream in(text);
+        forEachMatrixMarketEntry(in, h, sink);
+    });
+}
+
+MmOutcome
+walkOracle(const std::string &text, const MatrixMarketHeader &h)
+{
+    return check::captureWalk([&](const check::MmSink &sink) {
+        std::istringstream in(text);
+        check::forEachEntryByExtraction(in, h, sink);
+    });
+}
+
+/** Walk one entry line both ways; fail on any difference. Returns
+ *  the tokenizer's outcome for further assertions. */
+MmOutcome
+expectLineParity(const std::string &line,
+                 const MatrixMarketHeader &h = wideHeader())
+{
+    const std::string text = line + "\n";
+    MmOutcome got = walkTokenizer(text, h);
+    const std::string diff =
+        check::outcomeMismatch(got, walkOracle(text, h));
+    EXPECT_TRUE(diff.empty()) << "line [" << line << "]: " << diff;
+    return got;
+}
+
+std::uint64_t
+bitsOf(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+TEST(MatrixMarketFuzz, TokenizerMatchesStreamExtraction)
+{
+    Rng rng(0xf022003);
+    const MatrixMarketHeader headers[] = {
+        wideHeader(), wideHeader(true), wideHeader(false, true)};
+    std::size_t accepted = 0, rejected = 0;
+    for (int round = 0; round < 4000; ++round) {
+        const std::string line = check::randomEntryLine(rng);
+        for (const MatrixMarketHeader &h : headers)
+            (expectLineParity(line, h).accepted ? accepted
+                                                : rejected)++;
+    }
+    // The generator must exercise both sides of the grammar.
+    EXPECT_GT(accepted, 3000u);
+    EXPECT_GT(rejected, 1000u);
+}
+
+TEST(MatrixMarketFuzz, LeadingPlusSignIsAccepted)
+{
+    // `>>` takes a leading '+'; std::from_chars does not.
+    const MmOutcome out = expectLineParity("+3 +00004 +2.5e+1");
+    ASSERT_TRUE(out.accepted);
+    ASSERT_EQ(out.entries.size(), 1u);
+    EXPECT_EQ(out.entries[0].row, 2);
+    EXPECT_EQ(out.entries[0].col, 3);
+    EXPECT_EQ(out.entries[0].val, 25.0);
+    // '+' then another sign is no number for either.
+    EXPECT_FALSE(expectLineParity("+-3 1 1.0").accepted);
+    EXPECT_FALSE(expectLineParity("1 1 +-1.0").accepted);
+}
+
+TEST(MatrixMarketFuzz, InfinityAndNanAreRejected)
+{
+    // std::from_chars accepts these spellings in any case; `>>`
+    // accepts none of them.
+    for (const char *v : {"inf", "INF", "-Inf", "+inf", "nan", "NaN",
+                          "-nan", "nan(1)", "infinity", "Infinity",
+                          "-INFINITY"}) {
+        const MmOutcome out =
+            expectLineParity(std::string("1 1 ") + v);
+        EXPECT_FALSE(out.accepted) << v;
+        EXPECT_EQ(out.reason, Reason::BadEntry) << v;
+    }
+}
+
+TEST(MatrixMarketFuzz, DanglingExponentIsRejected)
+{
+    // std::from_chars reads "1e" as 1 and stops; `>>` consumes the
+    // 'e' (and sign) and then fails for want of exponent digits.
+    for (const char *v : {"1e", "1e+", "1E-", "-2.5e", "1ee5",
+                          "1e+-5", "3.0e junk"}) {
+        const MmOutcome out =
+            expectLineParity(std::string("1 1 ") + v);
+        EXPECT_FALSE(out.accepted) << v;
+    }
+    // A complete exponent followed by junk is fine for both.
+    EXPECT_TRUE(expectLineParity("1 1 1e5e3").accepted);
+}
+
+TEST(MatrixMarketFuzz, UnderflowReadsAsSignedZero)
+{
+    // std::from_chars reports result_out_of_range; `>>` stores
+    // strtod's correctly rounded result, here a signed zero.
+    const MmOutcome pos = expectLineParity("1 1 1e-400");
+    ASSERT_TRUE(pos.accepted);
+    EXPECT_EQ(bitsOf(pos.entries[0].val), bitsOf(0.0));
+    const MmOutcome neg = expectLineParity("1 1 -1e-400");
+    ASSERT_TRUE(neg.accepted);
+    EXPECT_EQ(bitsOf(neg.entries[0].val), bitsOf(-0.0));
+    // Just below half the smallest subnormal rounds to zero; at half
+    // it rounds up to the smallest subnormal.
+    EXPECT_EQ(bitsOf(expectLineParity("1 1 2.4703282292062327e-324")
+                         .entries.at(0)
+                         .val),
+              bitsOf(0.0));
+    EXPECT_EQ(bitsOf(expectLineParity("1 1 2.4703282292062328e-324")
+                         .entries.at(0)
+                         .val),
+              1u);
+    EXPECT_TRUE(
+        expectLineParity("1 1 1e-99999999999999999999").accepted);
+}
+
+TEST(MatrixMarketFuzz, OverflowIsRejected)
+{
+    for (const char *line :
+         {"1 1 1e400", "1 1 -1e400", "1 1 1.7976931348623159e308",
+          "1 1 1e99999999999999999999", "9223372036854775808 1 1.0",
+          "1 -9223372036854775809 1.0",
+          "99999999999999999999 1 1.0"}) {
+        const MmOutcome out = expectLineParity(line);
+        EXPECT_FALSE(out.accepted) << line;
+        EXPECT_EQ(out.reason, Reason::BadEntry) << line;
+    }
+    // The largest finite value still reads exactly.
+    EXPECT_EQ(expectLineParity("1 1 1.7976931348623157e308")
+                  .entries.at(0)
+                  .val,
+              1.7976931348623157e308);
+}
+
+// --- chunk boundaries ----------------------------------------------
+
+/** A file that puts every walk feature on the page: comments and
+ *  blank lines between entries, CRLF endings, tabs, extra tokens,
+ *  a long entry line, duplicates and symmetric mirroring. */
+std::string
+featureFile(bool crlf)
+{
+    std::string text =
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "% a comment long enough to straddle several reads\n"
+        "\n"
+        "5 5 7\n"
+        "1 1 2.5\n"
+        "% interior comment\n"
+        "2\t1\t-0.33333333333333331\n"
+        "\n"
+        "3 2 +1e-310 trailing tokens are ignored\n"
+        "4    3                  1.0000000000000002e+17      \n"
+        "5 5 -0.0\n"
+        "2 1 0.1\n" // duplicate of (2,1): accumulates in order
+        "5 4 6.02214076e23\n"
+        "% trailing comment\n"
+        "\n";
+    if (!crlf)
+        return text;
+    std::string dos;
+    for (char c : text) {
+        if (c == '\n')
+            dos += '\r';
+        dos += c;
+    }
+    return dos;
+}
+
+Csr
+parseTrickled(const std::string &text, std::size_t maxRead,
+              std::uint64_t seed)
+{
+    check::TrickleBuf buf(text, maxRead, seed);
+    std::istream in(&buf);
+    return readMatrixMarket(in);
+}
+
+TEST(MatrixMarketFuzz, ChunkBoundariesDoNotChangeTheParse)
+{
+    for (const bool crlf : {false, true}) {
+        const std::string text = featureFile(crlf);
+        const Csr plain = parse(text);
+        std::istringstream oracleIn(text);
+        ASSERT_TRUE(check::sameCsrBits(
+            plain, check::readMatrixMarketByExtraction(oracleIn)));
+        ASSERT_EQ(plain.nnz(), 10u);
+        // One byte per read splits every CRLF pair, comment line
+        // and token; 1-7 byte reads split them everywhere else.
+        EXPECT_TRUE(check::sameCsrBits(parseTrickled(text, 1, 0),
+                                       plain))
+            << "crlf " << crlf;
+        for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+            EXPECT_TRUE(check::sameCsrBits(
+                parseTrickled(text, 7, seed), plain))
+                << "crlf " << crlf << " seed " << seed;
+        }
+    }
+}
+
+TEST(MatrixMarketFuzz, ChunkBoundariesKeepErrorOutcomes)
+{
+    const std::string head =
+        "%%MatrixMarket matrix coordinate real general\r\n"
+        "3 3 3\r\n"
+        "1 1 1.0\r\n"
+        "% comment\r\n"
+        "2 2 2.0\r\n";
+    const std::string files[] = {
+        head,                            // truncated after 2
+        head + "3 3",                    // truncated mid-line
+        head + "3 3 3.0\r\n4 4 4.0\r\n", // trailing garbage
+        head + "3 3 3.0\r\n% ok\r\n\r\nx", // garbage after comments
+        head + "3 3 1e\r\n",             // bad value
+        head + "3 9 1.0\r\n",            // out of range
+    };
+    for (const std::string &text : files) {
+        std::istringstream oracleIn(text);
+        const MmOutcome want = check::captureRead(
+            [&] { return check::readMatrixMarketByExtraction(oracleIn); });
+        ASSERT_FALSE(want.accepted) << text;
+        const std::string direct = check::outcomeMismatch(
+            check::captureRead([&] { return parse(text); }), want);
+        EXPECT_TRUE(direct.empty()) << direct;
+        for (std::uint64_t seed = 0; seed < 20; ++seed) {
+            const std::string diff = check::outcomeMismatch(
+                check::captureRead([&] {
+                    return parseTrickled(text, seed == 0 ? 1 : 7,
+                                         seed);
+                }),
+                want);
+            EXPECT_TRUE(diff.empty()) << "seed " << seed << ": "
+                                      << diff;
+        }
+    }
+}
+
+TEST(MatrixMarketFuzz, LinesLongerThanTheReadBufferParse)
+{
+    // The walk buffers one chunk; a longer line grows the buffer
+    // rather than being split or truncated.
+    const std::string pad(200000, ' ');
+    const std::string junk(150000, 'x');
+    const std::string text =
+        "%%MatrixMarket matrix coordinate real general\n"
+        "3 3 3\n"
+        "%" + std::string(300000, 'c') + "\n"
+        "1 1" + pad + "4.5\n"
+        "2 2 5.5 " + junk + "\n"
+        "3" + pad + "3" + pad + "6.5" + pad + "\r\n";
+    std::istringstream oracleIn(text);
+    const Csr want = check::readMatrixMarketByExtraction(oracleIn);
+    ASSERT_EQ(want.nnz(), 3u);
+    EXPECT_TRUE(check::sameCsrBits(parse(text), want));
+    EXPECT_TRUE(check::sameCsrBits(parseTrickled(text, 7, 5), want));
+    // A long trailing-garbage line reports itself in full.
+    const std::string bad = text + pad + "7\n";
+    std::istringstream badIn(bad);
+    const std::string diff = check::outcomeMismatch(
+        check::captureRead([&] { return parse(bad); }),
+        check::captureRead([&] {
+            return check::readMatrixMarketByExtraction(badIn);
+        }));
+    EXPECT_TRUE(diff.empty()) << diff;
 }
 
 } // namespace
