@@ -423,9 +423,10 @@ bmCsrSpmv(benchmark::State &state)
 }
 BENCHMARK(bmCsrSpmv);
 
-/** Accelerator value-level SpMV: the placed-block loop runs through
- *  the thread pool, so this benchmark is the headline number for the
- *  parallel execution engine (compare runs at MSC_THREADS=1 vs N). */
+/** Accelerator value-level SpMV: the k = 1 panel of the one
+ *  Accelerator MVM kernel, one work item per placed block fanned
+ *  through the thread pool -- the headline number for the parallel
+ *  execution engine (compare runs at MSC_THREADS=1 vs N). */
 void
 bmAccelSpmv(benchmark::State &state)
 {
@@ -446,10 +447,12 @@ bmAccelSpmv(benchmark::State &state)
 }
 BENCHMARK(bmAccelSpmv);
 
-/** Batched accelerator SpMM over a k-column panel: fans
- *  (placement, column-chunk) items over the pool and reuses the
- *  placed-block layout across columns. Items are per-RHS normalized
- *  (nnz x k), so items/s vs bmAccelSpmv is the batch gain. */
+/** Batched accelerator SpMM over a k-column panel: the same kernel
+ *  as bmAccelSpmv, fanning (placement, column-chunk of up to 4)
+ *  items over the pool, so one walk of a block's elements serves
+ *  every column of a chunk. Items are per-RHS normalized (nnz x k):
+ *  items/s vs bmAccelSpmv is the batch gain, and k = 1, 4, 8 put
+ *  the per-column cost at chunk widths 1 and 4 beside it. */
 void
 bmAccelSpmm(benchmark::State &state)
 {
@@ -471,7 +474,7 @@ bmAccelSpmm(benchmark::State &state)
     state.counters["blocks"] =
         static_cast<double>(accel.info().placedBlocks);
 }
-BENCHMARK(bmAccelSpmm)->Arg(8);
+BENCHMARK(bmAccelSpmm)->Arg(1)->Arg(4)->Arg(8);
 
 /** Fault-injecting operator apply: per-block fan-out plus the
  *  per-(apply, block) transient fault streams. */

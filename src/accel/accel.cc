@@ -12,8 +12,9 @@ namespace msc {
 
 namespace {
 
-// Per-block spans fire once per placed block per spmv, so the
-// accel.block_spans total is deterministic across lane counts.
+// Per-block spans fire once per (placement, column-chunk) work item
+// -- once per placed block per spmv -- so the accel.block_spans
+// total is deterministic across lane counts.
 constinit telemetry::Counter ctrBlockSpans{"accel.block_spans"};
 constinit telemetry::Counter ctrSpmvCalls{"accel.spmv_calls"};
 constinit telemetry::Counter
@@ -44,6 +45,27 @@ class OpGuard
   private:
     std::atomic<bool> &f;
 };
+
+/**
+ * Accumulate one placed block into W columns of @p part (column c
+ * at part + c * b.size), walking b.elems once. Each column's
+ * partials accumulate in element order whatever W is, so at W = 1
+ * this is the plain single-vector block loop.
+ */
+template <unsigned W>
+void
+accumulateBlock(const MatrixBlock &b, const double *x, std::size_t ldx,
+                double *part)
+{
+    const std::size_t ldp = b.size;
+    for (const auto &el : b.elems) {
+        const auto row = static_cast<std::size_t>(el.row);
+        const double *xe =
+            x + static_cast<std::size_t>(b.colOrigin + el.col);
+        for (unsigned c = 0; c < W; ++c)
+            part[c * ldp + row] += el.val * xe[c * ldx];
+    }
+}
 
 } // namespace
 
@@ -351,7 +373,6 @@ Accelerator::prepare(const Csr &matrix, std::span<const double> sampleX,
                 mem.sramEnergyPerByte;
     }
 
-    spmvScratch.assign(placements.size(), {});
     ctrPlacedBlocks.add(placements.size());
     isPrepared = true;
     return prep;
@@ -360,67 +381,38 @@ Accelerator::prepare(const Csr &matrix, std::span<const double> sampleX,
 void
 Accelerator::spmv(std::span<const double> x, std::span<double> y) const
 {
-    if (!isPrepared)
-        fatal("Accelerator::spmv: prepare() first");
-    if (x.size() != static_cast<std::size_t>(matCols) ||
-        y.size() != static_cast<std::size_t>(matRows))
-        fatal("Accelerator::spmv: dimension mismatch");
-    const OpGuard guard(opGuard, "Accelerator::spmv");
     telemetry::Span span("accel.spmv");
     telemetry::Timer timer(hSpmvUs);
     ctrSpmvCalls.add();
-    effectiveCsr.spmv(x, y);
-    // Placed blocks accumulate into per-placement partials in
-    // parallel; the partials fold into y in fixed placement order,
-    // so the result is bit-identical for any lane count.
-    parallelFor(
-        placements.size(),
-        [&](std::size_t p) {
-        telemetry::Span blockSpan("accel.block");
-        ctrBlockSpans.add();
-        const MatrixBlock &b = plan.blocks[placements[p].blockIdx];
-        std::vector<double> &part = spmvScratch[p];
-        part.assign(b.size, 0.0);
-        for (const auto &el : b.elems) {
-            part[static_cast<std::size_t>(el.row)] +=
-                el.val *
-                x[static_cast<std::size_t>(b.colOrigin + el.col)];
-        }
-        },
-        1, exec);
-    for (std::size_t p = 0; p < placements.size(); ++p) {
-        const MatrixBlock &b = plan.blocks[placements[p].blockIdx];
-        const std::vector<double> &part = spmvScratch[p];
-        // Edge blocks extend past the last matrix row; their padded
-        // tail is empty, so clamp instead of folding it into memory
-        // beyond y.
-        const unsigned limit = static_cast<unsigned>(std::min(
-            static_cast<std::int64_t>(b.size),
-            static_cast<std::int64_t>(matRows) - b.rowOrigin));
-        for (unsigned i = 0; i < limit; ++i)
-            y[static_cast<std::size_t>(b.rowOrigin + i)] += part[i];
-    }
+    mvm(x, y, 1, "Accelerator::spmv");
 }
 
 void
 Accelerator::spmm(std::span<const double> X, std::span<double> Y,
                   unsigned k) const
 {
-    if (!isPrepared)
-        fatal("Accelerator::spmm: prepare() first");
-    if (k == 0)
-        fatal("Accelerator::spmm: batch needs at least one column");
-    const auto nCols = static_cast<std::size_t>(matCols);
-    const auto nRows = static_cast<std::size_t>(matRows);
-    if (X.size() != nCols * k || Y.size() != nRows * k)
-        fatal("Accelerator::spmm: panel size mismatch");
-    const OpGuard guard(opGuard, "Accelerator::spmm");
     telemetry::Span span("accel.spmm");
     telemetry::Timer timer(hSpmmUs);
     ctrSpmmCalls.add();
+    mvm(X, Y, k, "Accelerator::spmm");
+}
+
+void
+Accelerator::mvm(std::span<const double> X, std::span<double> Y,
+                 unsigned k, const char *what) const
+{
+    if (!isPrepared)
+        fatal(what, ": prepare() first");
+    if (k == 0)
+        fatal(what, ": batch needs at least one column");
+    const auto nCols = static_cast<std::size_t>(matCols);
+    const auto nRows = static_cast<std::size_t>(matRows);
+    if (X.size() != nCols * k || Y.size() != nRows * k)
+        fatal(what, ": dimension mismatch");
+    const OpGuard guard(opGuard, what);
 
     // CSR leftovers, per column in column order (independent
-    // outputs; identical to the k spmv() prologues).
+    // outputs).
     for (unsigned c = 0; c < k; ++c) {
         effectiveCsr.spmv(X.subspan(c * nCols, nCols),
                           Y.subspan(c * nRows, nRows));
@@ -443,27 +435,30 @@ Accelerator::spmm(std::span<const double> X, std::span<double> Y,
         const std::size_t p = item / nChunks;
         const unsigned c0 = static_cast<unsigned>(
             (item % nChunks) * chunkCols);
-        const unsigned cEnd = std::min(k, c0 + chunkCols);
+        const unsigned w = std::min(k - c0, chunkCols);
         const MatrixBlock &b = plan.blocks[placements[p].blockIdx];
         std::vector<double> &part = spmmScratch[item];
-        part.assign(static_cast<std::size_t>(b.size) *
-                        (cEnd - c0),
-                    0.0);
-        for (const auto &el : b.elems) {
-            const auto row = static_cast<std::size_t>(el.row);
-            const auto col =
-                static_cast<std::size_t>(b.colOrigin + el.col);
-            for (unsigned c = c0; c < cEnd; ++c) {
-                part[static_cast<std::size_t>(c - c0) * b.size +
-                     row] += el.val * X[c * nCols + col];
-            }
+        part.assign(static_cast<std::size_t>(b.size) * w, 0.0);
+        const double *x = X.data() + c0 * nCols;
+        switch (w) {
+          case 1:
+            accumulateBlock<1>(b, x, nCols, part.data());
+            break;
+          case 2:
+            accumulateBlock<2>(b, x, nCols, part.data());
+            break;
+          case 3:
+            accumulateBlock<3>(b, x, nCols, part.data());
+            break;
+          default:
+            accumulateBlock<4>(b, x, nCols, part.data());
         }
         },
         1, exec);
 
-    // Fold per column in fixed placement order -- for each column
-    // this is exactly the spmv() reduction, so the result is
-    // bitwise the k sequential calls for any lane count.
+    // Fold per column in fixed placement order, so the result is
+    // bit-identical for any lane count and every column of a panel
+    // is bitwise its own k = 1 call.
     for (unsigned c = 0; c < k; ++c) {
         const std::size_t chunk = c / chunkCols;
         const unsigned cInChunk = c % chunkCols;
@@ -471,11 +466,12 @@ Accelerator::spmm(std::span<const double> X, std::span<double> Y,
         for (std::size_t p = 0; p < placements.size(); ++p) {
             const MatrixBlock &b =
                 plan.blocks[placements[p].blockIdx];
-            const std::vector<double> &part =
-                spmmScratch[p * nChunks + chunk];
             const double *pc =
-                part.data() +
+                spmmScratch[p * nChunks + chunk].data() +
                 static_cast<std::size_t>(cInChunk) * b.size;
+            // Edge blocks extend past the last matrix row; their
+            // padded tail is empty, so clamp instead of folding it
+            // into memory beyond y.
             const unsigned limit = static_cast<unsigned>(std::min(
                 static_cast<std::int64_t>(b.size),
                 static_cast<std::int64_t>(matRows) - b.rowOrigin));

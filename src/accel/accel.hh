@@ -130,29 +130,31 @@ class Accelerator
     std::int32_t rows() const { return matRows; }
     std::int32_t cols() const { return matCols; }
 
-    /** Functional y = A x (all placed blocks + CSR leftovers). */
+    /** Functional y = A x (all placed blocks + CSR leftovers): the
+     *  k = 1 panel of spmm(), under its own span and counters. */
     void spmv(std::span<const double> x, std::span<double> y) const;
 
     /**
      * Functional multi-RHS Y = A X over column-major k-column
-     * panels (X: k columns of matCols, Y: k columns of matRows),
-     * bitwise identical to k spmv() calls in column order. Placed
-     * blocks fan out over the thread pool at (placement,
-     * column-chunk) granularity with private scratch per work item;
-     * the partials fold per column in fixed placement order, so the
-     * result is bit-identical for any lane count.
+     * panels (X: k columns of matCols, Y: k columns of matRows).
+     * spmv() and spmm() run one kernel: placed blocks fan out over
+     * the thread pool at (placement, column-chunk of up to 4)
+     * granularity with private scratch per work item, and the
+     * partials fold per column in fixed placement order. Every
+     * column is therefore bitwise its own spmv(), for any k and any
+     * lane count.
      */
     void spmm(std::span<const double> X, std::span<double> Y,
               unsigned k) const;
 
     /**
-     * Execution context polled per block batch inside prepare() and
-     * spmv() (runtime/exec_context.hh): a cancel or deadline aborts
-     * mid-operation with CancelledError instead of finishing the
-     * fan-out. Not owned; must outlive the calls it governs, and
-     * nullptr (the default) detaches. Operator adapters
-     * (ClusterArithmeticOperator, FaultyAccelOperator) forward
-     * their own setExecContext() here.
+     * Execution context polled per work item inside prepare(),
+     * spmv() and spmm() (runtime/exec_context.hh): a cancel or
+     * deadline aborts mid-operation with CancelledError instead of
+     * finishing the fan-out. Not owned; must outlive the calls it
+     * governs, and nullptr (the default) detaches. Operator
+     * adapters (ClusterArithmeticOperator, FaultyAccelOperator)
+     * forward their own setExecContext() here.
      */
     void setExecContext(const ExecContext *ctx) { exec = ctx; }
 
@@ -205,6 +207,10 @@ class Accelerator
     };
 
     AccelCost estimateSpmvCost() const;
+    /** The one MVM body behind spmv() (k = 1) and spmm(); @p what
+     *  names the entry point in fatal messages. */
+    void mvm(std::span<const double> X, std::span<double> Y,
+             unsigned k, const char *what) const;
 
     AcceleratorConfig cfg;
     bool isPrepared = false;
@@ -214,14 +220,12 @@ class Accelerator
     std::vector<Placement> placements;
     std::int32_t matRows = 0;
     std::int32_t matCols = 0;
-    /** Per-placement partial outputs for the parallel spmv fan-out;
-     *  sized by prepare(). spmv()/spmm() are internally parallel but
-     *  each is a single logical operation sharing this scratch:
-     *  concurrent spmv()/spmm() calls on one Accelerator are not
+    /** Per-(placement, column-chunk) partial outputs of the MVM
+     *  fan-out, grown on demand. spmv()/spmm() are internally
+     *  parallel but each is a single logical operation sharing this
+     *  scratch: concurrent calls on one Accelerator are not
      *  supported, and opGuard makes a violation a deterministic
      *  fatal instead of silent corruption. */
-    mutable std::vector<std::vector<double>> spmvScratch;
-    /** Per-(placement, column-chunk) partials for spmm(). */
     mutable std::vector<std::vector<double>> spmmScratch;
     /** Set while an spmv()/spmm() fan-out is in flight. */
     mutable std::atomic<bool> opGuard{false};
@@ -232,10 +236,10 @@ class Accelerator
  * LinearOperator adapter over a prepared Accelerator, so the Krylov
  * solvers (and the service runtime's prepare cache) can drive the
  * functional accelerator directly: apply() -> spmv(), applyBatch()
- * -> spmm() (bitwise identical to the k sequential applies), and
- * setExecContext() forwards to the accelerator's per-block-batch
- * polls. Does not own the accelerator; one logical operation at a
- * time (the accelerator's opGuard enforces it).
+ * -> spmm() (one kernel, so a batch is bitwise its k sequential
+ * applies), and setExecContext() forwards to the accelerator's
+ * per-work-item polls. Does not own the accelerator; one logical
+ * operation at a time (the accelerator's opGuard enforces it).
  */
 class AcceleratorOperator : public LinearOperator
 {

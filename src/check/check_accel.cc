@@ -3,10 +3,13 @@
  * Differential checks: Accelerator::spmv vs Csr::spmv under an error
  * budget, plus exact power-of-two scale equivariance.
  *
- * The accelerator computes each placed block's partial products with
- * one rounding of the exact block sum (cluster model), then combines
- * partials and CSR leftovers in plain double arithmetic; Csr::spmv
- * accumulates sequentially. Neither is "the" answer, but both must
+ * The accelerator's functional model starts each row from its CSR
+ * leftovers (local-processor CSR, sequential), accumulates each
+ * placed block's products into a per-placement partial in plain
+ * double in element order, and adds the partials into y in
+ * placement order; Csr::spmv accumulates the whole row sequentially.
+ * Both are recursive double summations of the same nnz_i products,
+ * only grouped differently. Neither is "the" answer, but both must
  * sit within a few units of sequential summation error of the true
  * row sum, so their difference is bounded by
  *
@@ -59,8 +62,8 @@ iterate(Context &ctx, Fixture &fx)
         p.spd = p.symmetricPattern && rng.chance(0.3);
         p.values.tileExpSigma = rng.uniform(0.5, 6.0);
         p.values.elemExpSigma = rng.uniform(0.5, 2.0);
-        // Occasional exponent outliers force dissolution into the
-        // local-processor CSR, covering the hybrid path.
+        // Occasional exponent outliers evict elements from blocks
+        // into the local-processor CSR, covering the hybrid path.
         p.values.outlierProb = rng.chance(0.5) ? 0.02 : 0.0;
         p.seed = rng.next();
         fx.mat = genTiled(p);

@@ -9,7 +9,9 @@
  * (peeled indices), and statistics bitwise identical to k one-column
  * calls in column order (batch(k) == k x batch(1); the single-RHS
  * overloads are k = 1 panels of the same kernel body), and
- * Accelerator::spmm must equal k calls of its separate spmv path.
+ * Accelerator::spmm must equal k spmv calls -- spmv is the k = 1
+ * panel of the same chunked kernel, so this pins every chunk width
+ * against width one.
  * The one-column results are themselves pinned to exactDot by the
  * cluster/accel modules, so this module only needs the
  * self-differential, swept across schedule x rounding x AN x early-
@@ -273,9 +275,9 @@ checkAccelSpmm(Context &ctx, Rng &rng, Fixture &fx)
     }
 
     const auto n = static_cast<std::size_t>(fx.mat.rows());
-    // Straddle the column-chunk width (4) so partial chunks and
-    // multi-chunk fans are both exercised.
-    const unsigned k = 1 + static_cast<unsigned>(rng.below(6));
+    // k = 1..9 covers every chunk width (1-4), tails behind one
+    // full chunk of 4 (k = 5..7) and two full chunks (k = 8, 9).
+    const unsigned k = 1 + static_cast<unsigned>(rng.below(9));
     std::vector<double> X(n * k);
     for (auto &v : X) {
         v = rng.chance(0.1)

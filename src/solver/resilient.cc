@@ -330,36 +330,4 @@ ResilientSolver::solve(std::span<const double> b, std::span<double> x)
     return total;
 }
 
-std::vector<SolverResult>
-ResilientSolver::solveBatch(std::span<const double> B,
-                            std::span<double> X, unsigned k)
-{
-    const auto n = static_cast<std::size_t>(op.rows());
-    if (k == 0)
-        fatal("ResilientSolver::solveBatch: empty batch");
-    if (B.size() != n * k || X.size() != n * k)
-        fatal("ResilientSolver::solveBatch: panel size mismatch");
-
-    telemetry::Span span("resilient.solve_batch");
-    std::vector<SolverResult> results;
-    results.reserve(k);
-    for (unsigned c = 0; c < k; ++c) {
-        if (execShouldStop(cfg.exec)) {
-            // Stamp the remaining columns without touching their X:
-            // a stop request mid-campaign abandons the queue, it
-            // does not zero half-initialized iterates.
-            SolverResult stopped;
-            stopped.vectorLength = n;
-            stopped.relResidual = 1.0;
-            stopped.status = cfg.exec->stopStatus();
-            while (results.size() < k)
-                results.push_back(stopped);
-            break;
-        }
-        results.push_back(
-            solve(B.subspan(c * n, n), X.subspan(c * n, n)));
-    }
-    return results;
-}
-
 } // namespace msc

@@ -130,19 +130,6 @@ class ResilientSolver
     SolverResult solve(std::span<const double> b,
                        std::span<double> x);
 
-    /**
-     * Batched independent-RHS campaign over column-major n x k
-     * panels: runs solve() per column in column order, reusing the
-     * member workspace (and the operator's accumulated degradation
-     * state) across columns. cfg.exec is polled at column
-     * boundaries: once a stop fires, the remaining columns are
-     * stamped with the stop status and their X columns are left
-     * untouched. Returns one SolverResult per column.
-     */
-    std::vector<SolverResult> solveBatch(std::span<const double> B,
-                                         std::span<double> X,
-                                         unsigned k);
-
   private:
     SolverResult runSegment(std::span<const double> b,
                             std::span<double> x, int iters);

@@ -339,6 +339,14 @@ readMatrixMarketHeader(std::istream &in)
     if (rows > dimMax || cols > dimMax)
         mmFail(Reason::BadSize, 0,
                "matrix market: dimensions out of range: ", line);
+    // A (skew-)symmetric matrix is square: a non-square size line
+    // contradicts the banner. Refusing it here makes every reader
+    // (in-core, strip-streaming, oracle) fail alike, before the
+    // first mirrored entry lands past the short side.
+    if (h.symmetric && rows != cols)
+        mmFail(Reason::BadSize, 0,
+               "matrix market: symmetric matrix must be square: ",
+               line);
     h.rows = static_cast<std::int32_t>(rows);
     h.cols = static_cast<std::int32_t>(cols);
     h.declaredEntries = static_cast<std::uint64_t>(declaredNnz);

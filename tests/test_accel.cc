@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "accel/accel.hh"
 #include "sparse/gen.hh"
 #include "util/logging.hh"
+#include "util/threadpool.hh"
 
 namespace msc {
 namespace {
@@ -106,6 +110,91 @@ TEST(Accelerator, EdgeBlocksDoNotFoldPastTheLastRow)
                     1e-12 * (1.0 + std::fabs(yCsr[i])))
             << "row " << i;
     }
+}
+
+/** 64-bit FNV-1a over the IEEE bit patterns of @p v. */
+std::uint64_t
+fnv1aBits(std::span<const double> v)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const double d : v) {
+        const auto bits = std::bit_cast<std::uint64_t>(d);
+        for (int i = 0; i < 8; ++i) {
+            h ^= (bits >> (8 * i)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
+TEST(Accelerator, OutputBitsPinnedAcrossRefactor)
+{
+    // Absolute pin of the spmv/spmm output bits, recorded when spmv
+    // and spmm still had separate loop bodies. It pins the fold
+    // order itself (CSR leftovers first, then each placement's
+    // partials in placement order, accumulated in element order),
+    // not only spmm against spmv. The plan has one 512-block, two
+    // 256-blocks and four 64-blocks. With no 512 cluster the
+    // 512-block dissolves back into the CSR; the 64-blocks beside
+    // the 256-blocks make 192 rows fold two placements; the
+    // 256-block at row 768 extends past the last of the 1000 rows;
+    // exponent outliers evict elements from blocks.
+    msc::setLogQuiet(true);
+    TiledParams p;
+    p.rows = 1000;
+    p.tile = 24;
+    p.tileDensity = 0.6;
+    p.tileSpread = 4;
+    p.diagTiles = 2;
+    p.scatterPerRow = 1.0;
+    p.values.outlierProb = 0.01;
+    p.seed = 9;
+    const Csr m = genTiled(p);
+    AcceleratorConfig cfg;
+    cfg.banks = 1;
+    cfg.clustersPerBank = {{256, 8}, {128, 8}, {64, 8}};
+    const BlockPlan plan = planBlocks(m, cfg.blocking);
+    EXPECT_TRUE(std::any_of(
+        plan.blocks.begin(), plan.blocks.end(),
+        [&](const MatrixBlock &b) {
+            return b.size == 256 && b.rowOrigin + 256 > m.rows();
+        }));
+    Accelerator accel(cfg);
+    const PrepareResult prep = accel.prepare(m);
+    ASSERT_EQ(prep.placedBlocks, 6u);
+    ASSERT_EQ(prep.dissolvedBlocks, 1u);
+    ASSERT_GT(prep.blocking.expRangeEvictions, 0u);
+
+    const auto n = static_cast<std::size_t>(m.rows());
+    Rng rng(13);
+    std::vector<double> X(n * 8);
+    for (auto &v : X)
+        v = std::ldexp(rng.uniform(-1.0, 1.0),
+                       static_cast<int>(rng.range(0, 40)) - 20);
+
+    struct Pin
+    {
+        unsigned k;
+        std::uint64_t hash;
+    };
+    const Pin pins[] = {{1, 0xfd601794e4c07f21ull},
+                        {3, 0x612b79f4520a5ecfull},
+                        {5, 0x4730b278253c8cccull},
+                        {8, 0xa6f8fb1e0e3b61baull}};
+    for (const unsigned threads : {1u, 4u}) {
+        setGlobalThreads(threads);
+        for (const Pin &pin : pins) {
+            std::vector<double> Y(n * pin.k);
+            const std::span<const double> Xk(X.data(), n * pin.k);
+            if (pin.k == 1)
+                accel.spmv(Xk, Y);
+            else
+                accel.spmm(Xk, Y, pin.k);
+            EXPECT_EQ(fnv1aBits(Y), pin.hash)
+                << "k=" << pin.k << " threads=" << threads;
+        }
+    }
+    setGlobalThreads(0);
 }
 
 TEST(Accelerator, ScatterMatrixFallsBackToGpu)

@@ -7,14 +7,14 @@
  * calls in column order -- batch(k) == k x batch(1) -- covering
  * outputs, per-column side channels (peeled indices), and
  * statistics, including the floating-point energy accumulations.
- * Cluster, HwCluster and the operator adapters run one kernel body,
- * whose single-RHS entry points are k = 1 panels; their values are
- * pinned to the straight-line references in test_kernel_bitexact.
- * Accelerator::spmm is checked against its separate spmv path. The
- * suites here drive Cluster::multiply(X), HwCluster::multiply(X),
- * Accelerator::spmm, the operator batch applies (including an active
- * FaultCampaign and a mid-batch cancellation), and block-CG
- * trajectory determinism across thread counts.
+ * Cluster, HwCluster, Accelerator and the operator adapters run one
+ * kernel body, whose single-RHS entry points are k = 1 panels; their
+ * values are pinned to the straight-line references in
+ * test_kernel_bitexact and, for Accelerator, to the absolute hashes
+ * in test_accel. The suites here drive Cluster::multiply(X),
+ * HwCluster::multiply(X), Accelerator::spmm and the operator batch
+ * applies (including an active FaultCampaign and a mid-batch
+ * cancellation).
  */
 
 #include <gtest/gtest.h>
@@ -30,7 +30,6 @@
 #include "cluster/hw_cluster.hh"
 #include "fault/fault.hh"
 #include "fault/faulty_operator.hh"
-#include "solver/block.hh"
 #include "sparse/gen.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -603,232 +602,6 @@ TEST(BatchOperator, MidBatchCancellationLeavesOperatorReusable)
         EXPECT_TRUE(sameBits(yRef, y));
         expectStatsEqual(ref.totals(), op.totals());
     }
-}
-
-/** Accelerator-backed panel operator: apply -> spmv, applyBatch ->
- *  spmm (proven bitwise identical per column above). */
-class AccelPanelOperator : public LinearOperator
-{
-  public:
-    explicit AccelPanelOperator(const Csr &m) : mat(&m)
-    {
-        accel.prepare(m);
-    }
-
-    std::int32_t rows() const override { return mat->rows(); }
-    std::int32_t cols() const override { return mat->cols(); }
-
-    void
-    apply(std::span<const double> x, std::span<double> y) override
-    {
-        accel.spmv(x, y);
-    }
-
-    void
-    applyBatch(std::span<const double> X, std::span<double> Y,
-               unsigned k) override
-    {
-        accel.spmm(X, Y, k);
-    }
-
-  private:
-    Accelerator accel;
-    const Csr *mat;
-};
-
-TEST(BlockCg, SolvesSpdPanel)
-{
-    setLogQuiet(true);
-    const Csr m = bandedMatrix(480, 8601);
-    const auto n = static_cast<std::size_t>(m.rows());
-    CsrOperator a(m);
-    const unsigned k = 4;
-    Rng rng(8602);
-    const auto B = panelOf(rng, n, k);
-    std::vector<double> X(n * k, 0.0);
-
-    SolverConfig cfg;
-    cfg.tolerance = 1e-10;
-    cfg.maxIterations = 2000;
-    const BlockSolverResult res =
-        blockConjugateGradient(a, B, X, k, cfg);
-    EXPECT_TRUE(res.converged);
-    EXPECT_EQ(res.status, SolveStatus::Converged);
-    EXPECT_EQ(res.columns, k);
-    EXPECT_GT(res.spmmCalls, 0u);
-
-    // True residuals, recomputed from scratch.
-    std::vector<double> r(n);
-    for (unsigned c = 0; c < k; ++c) {
-        m.spmv(std::span<const double>(X).subspan(c * n, n), r);
-        double num = 0.0, den = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const double d = B[c * n + i] - r[i];
-            num += d * d;
-            den += B[c * n + i] * B[c * n + i];
-        }
-        EXPECT_LE(std::sqrt(num / den), 1e-8) << "column " << c;
-    }
-}
-
-TEST(BlockCg, DeflatesZeroColumns)
-{
-    setLogQuiet(true);
-    const Csr m = bandedMatrix(192, 8701);
-    const auto n = static_cast<std::size_t>(m.rows());
-    CsrOperator a(m);
-    const unsigned k = 3;
-    Rng rng(8702);
-    auto B = panelOf(rng, n, k);
-    // Middle column: zero RHS. Undeflated it would make every R'R
-    // singular on the spot.
-    std::fill(B.begin() + n, B.begin() + 2 * n, 0.0);
-    std::vector<double> X(n * k, 1.0);
-
-    const BlockSolverResult res =
-        blockConjugateGradient(a, B, X, k);
-    EXPECT_TRUE(res.converged);
-    EXPECT_TRUE(sameBits(res.relResiduals[1], 0.0));
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_TRUE(sameBits(X[n + i], 0.0)) << "row " << i;
-}
-
-TEST(BlockCg, TrajectoryDeterministicAcrossThreadCounts)
-{
-    setLogQuiet(true);
-    const Csr m = bandedMatrix(960, 8801);
-    const auto n = static_cast<std::size_t>(m.rows());
-    AccelPanelOperator a(m);
-    const unsigned k = 3;
-    Rng rng(8802);
-    const auto B = panelOf(rng, n, k);
-
-    SolverConfig cfg;
-    cfg.tolerance = 1e-12;
-    cfg.maxIterations = 40; // fixed budget: compare trajectories
-
-    std::vector<std::vector<double>> xs;
-    std::vector<BlockSolverResult> rs;
-    for (unsigned threads : {1u, 2u, 8u}) {
-        setGlobalThreads(static_cast<int>(threads));
-        std::vector<double> X(n * k, 0.0);
-        rs.push_back(blockConjugateGradient(a, B, X, k, cfg));
-        xs.push_back(std::move(X));
-    }
-    setGlobalThreads(0);
-    for (std::size_t i = 1; i < xs.size(); ++i) {
-        EXPECT_TRUE(sameBits(xs[0], xs[i])) << "lane config " << i;
-        EXPECT_EQ(rs[0].iterations, rs[i].iterations);
-        EXPECT_TRUE(
-            sameBits(rs[0].relResiduals, rs[i].relResiduals));
-    }
-}
-
-TEST(BlockCg, CancellationReturnsLastCompletedIterate)
-{
-    setLogQuiet(true);
-    const Csr m = bandedMatrix(480, 8901);
-    const auto n = static_cast<std::size_t>(m.rows());
-    CsrOperator a(m);
-    const unsigned k = 3;
-    Rng rng(8902);
-    const auto B = panelOf(rng, n, k);
-
-    // Reference: exactly 5 block iterations.
-    SolverConfig five;
-    five.tolerance = 1e-30;
-    five.maxIterations = 5;
-    std::vector<double> x5(n * k, 0.0);
-    blockConjugateGradient(a, B, x5, k, five);
-
-    // Cancelled run: polls land at entry (1) then at each iteration
-    // top (one per iteration); the 7th poll is iteration 5's, which
-    // aborts before that iteration moves X.
-    ExecContext ctx;
-    ctx.cancelAfterChecks(7);
-    SolverConfig cfg;
-    cfg.tolerance = 1e-30;
-    cfg.maxIterations = 2000;
-    cfg.exec = &ctx;
-    std::vector<double> xc(n * k, 0.0);
-    const BlockSolverResult res =
-        blockConjugateGradient(a, B, xc, k, cfg);
-    EXPECT_EQ(res.status, SolveStatus::Cancelled);
-    EXPECT_FALSE(res.converged);
-    EXPECT_TRUE(sameBits(x5, xc));
-}
-
-TEST(BatchSolver, ResilientSolveBatchMatchesSequentialSolves)
-{
-    setLogQuiet(true);
-    const Csr m = bandedMatrix(192, 9001);
-    const auto n = static_cast<std::size_t>(m.rows());
-    FaultCampaign camp;
-    camp.seed = 5;
-    camp.stuckCellRate = 0.01;
-    camp.transientUpsetRate = 0.01;
-    const unsigned k = 3;
-    Rng rng(9002);
-    const auto B = panelOf(rng, n, k);
-
-    SolverConfig cfg;
-    cfg.tolerance = 1e-8;
-    cfg.maxIterations = 400;
-
-    FaultyAccelOperator opRef(m, camp);
-    ResilientSolver ref(opRef, SolverKind::Cg, cfg);
-    std::vector<double> xRef(n * k, 0.0);
-    std::vector<SolverResult> seq;
-    for (unsigned c = 0; c < k; ++c) {
-        seq.push_back(ref.solve(
-            std::span<const double>(B).subspan(c * n, n),
-            std::span<double>(xRef).subspan(c * n, n)));
-    }
-
-    FaultyAccelOperator opBat(m, camp);
-    ResilientSolver bat(opBat, SolverKind::Cg, cfg);
-    std::vector<double> xBat(n * k, 0.0);
-    const std::vector<SolverResult> batRes =
-        bat.solveBatch(std::span<const double>(B),
-                       std::span<double>(xBat), k);
-
-    ASSERT_EQ(batRes.size(), k);
-    EXPECT_TRUE(sameBits(xRef, xBat));
-    for (unsigned c = 0; c < k; ++c) {
-        EXPECT_EQ(seq[c].status, batRes[c].status) << "col " << c;
-        EXPECT_EQ(seq[c].iterations, batRes[c].iterations);
-        EXPECT_TRUE(
-            sameBits(seq[c].relResidual, batRes[c].relResidual));
-    }
-}
-
-TEST(BatchSolver, ResilientSolveBatchStopsAtColumnBoundary)
-{
-    setLogQuiet(true);
-    const Csr m = bandedMatrix(96, 9101);
-    const auto n = static_cast<std::size_t>(m.rows());
-    const unsigned k = 3;
-    Rng rng(9102);
-    const auto B = panelOf(rng, n, k);
-
-    ExecContext ctx;
-    ctx.token().cancel();
-    SolverConfig cfg;
-    cfg.exec = &ctx;
-    FaultyAccelOperator op(m, FaultCampaign{});
-    ResilientSolver solver(op, SolverKind::Cg, cfg);
-    std::vector<double> X(n * k, 0.0);
-    const std::vector<SolverResult> res =
-        solver.solveBatch(std::span<const double>(B),
-                          std::span<double>(X), k);
-    ASSERT_EQ(res.size(), k);
-    for (unsigned c = 0; c < k; ++c) {
-        EXPECT_EQ(res[c].status, SolveStatus::Cancelled)
-            << "col " << c;
-        EXPECT_FALSE(res[c].converged);
-    }
-    // The stamped columns were never touched.
-    EXPECT_TRUE(sameBits(X, std::vector<double>(n * k, 0.0)));
 }
 
 } // namespace

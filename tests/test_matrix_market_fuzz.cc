@@ -13,17 +13,24 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <streambuf>
 #include <string>
 #include <vector>
 
+#include "blocking/stream.hh"
 #include "check/mm_oracle.hh"
 #include "sparse/gen.hh"
 #include "sparse/matrix_market.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
+
+#if __has_include(<unistd.h>)
+#include <unistd.h>
+#endif
 
 namespace {
 
@@ -83,6 +90,42 @@ TEST(MatrixMarketFuzz, BannerWordsAreCaseInsensitive)
 
 // --- size-line edges -----------------------------------------------
 
+/** Expect @p text to fail as MatrixMarketError BadSize with no
+ *  entries read, through readMatrixMarket and through
+ *  matrixMarketEntrySource (the strip-streaming planner's input). */
+void
+expectHeaderBadSize(const std::string &text)
+{
+    using Reason = MatrixMarketError::Reason;
+    const auto expectBadSize = [&](const auto &read, const char *via) {
+        try {
+            read();
+            ADD_FAILURE() << via << " accepted:\n" << text;
+        } catch (const MatrixMarketError &e) {
+            EXPECT_EQ(e.reason(), Reason::BadSize) << via << ":\n"
+                                                   << text;
+            EXPECT_EQ(e.entriesRead(), 0u) << via;
+        }
+    };
+    expectBadSize([&] { parse(text); }, "readMatrixMarket");
+
+#if __has_include(<unistd.h>)
+    const long pid = static_cast<long>(::getpid());
+#else
+    const long pid = 0;
+#endif
+    const std::string path =
+        "/tmp/msc_test_mm_fuzz_" + std::to_string(pid) + ".mtx";
+    std::ofstream(path, std::ios::binary) << text;
+    expectBadSize(
+        [&] {
+            matrixMarketEntrySource(path)(
+                [](std::int32_t, std::int32_t, double) {});
+        },
+        "matrixMarketEntrySource");
+    std::remove(path.c_str());
+}
+
 TEST(MatrixMarketFuzz, RejectsBadSizeLines)
 {
     const std::string banner =
@@ -96,6 +139,15 @@ TEST(MatrixMarketFuzz, RejectsBadSizeLines)
     expectRejected(banner + "2 2 -1\n1 1 1.0\n");
     // int32 overflow in the dimensions must be caught, not wrapped.
     expectRejected(banner + "4294967297 4294967297 1\n1 1 1.0\n");
+    // A (skew-)symmetric banner needs a square size line: the entry
+    // (3,1) fits 3x2, its mirror (1,3) does not. Both the in-core
+    // reader and the strip-streaming source refuse it at the header.
+    for (const char *symmetry : {"symmetric", "skew-symmetric"}) {
+        const std::string text =
+            std::string("%%MatrixMarket matrix coordinate real ") +
+            symmetry + "\n3 2 1\n3 1 1.0\n";
+        expectHeaderBadSize(text);
+    }
 }
 
 TEST(MatrixMarketFuzz, HostileNnzDoesNotPreallocate)
